@@ -156,7 +156,8 @@ def quad_max(P: float, Q: float, R: float) -> tuple[float, str]:
     if (Q >= 0 and P >= -Q / 8) or (Q <= 0 and P >= -Q / 4):
         return 16.0 * P + 4.0 * Q + R, CASE_ENDPOINT
     # remaining region: Q > 0 and P <= -Q/8, hence P < 0 and 4P != 0
-    assert Q > 0 and P < 0
+    if not (Q > 0 and P < 0):
+        raise ValueError(f"no region of the quadratic holds P={P!r}, Q={Q!r}")
     return (4.0 * P * R - Q * Q) / (4.0 * P), CASE_VERTEX
 
 
@@ -236,9 +237,9 @@ def _closed_form(spec: ClassSpec, branch: str) -> float:
     return (b1 * b1 / (32.0 * (1 + a) * (1 + 2 * a))) * (4.0 * p - qline * qline / den)
 
 
-def certified_quadratic(prof: QuadraticProfile) -> tuple[float, float, float]:
-    """(P', Q', R') with T * max over t in [0, 4] of P' t^2 + Q' t + R' an
-    upper bound for T |d1 c1 c3 + d2 c1^2 c2 + d3 c2^2 + d4 c1^4|.
+def majorant_weights(prof: QuadraticProfile) -> tuple[float, float]:
+    """The quartic and linear weights (|K4|, |d1+d2+d3|) of the triangle
+    majorant of |d1 c1 c3 + d2 c1^2 c2 + d3 c2^2 + d4 c1^4|.
 
     With c1 = c, s = 4 - c^2, 2 c2 = c^2 + x s and
     4 c3 = c^3 + 2 s c x - c s x^2 + 2 s (1-|x|^2) z, the triangle inequality
@@ -247,20 +248,29 @@ def certified_quadratic(prof: QuadraticProfile) -> tuple[float, float, float]:
         |K4| c^4 + |d1+d2+d3|/2 c^2 s mu + s mu^2 |d3 s - d1 c^2|/4
             + d1/2 c s (1 - mu^2),          K4 = d1/4 + d2/2 + d3/4 + d4.
 
-    Premise: d1 > 0, d3 <= 0 and 2|d3| >= d1, which every admissible
-    parameter of the four classes satisfies.  Then the mu^2 coefficient is
-    s (c - 2)((d1 - |d3|) c/4 - |d3|/2) >= 0 on [0, 2], the majorant is
-    non-decreasing in mu, and at mu = 1 it is this quadratic in t = c^2.
+    Premise, checked here: d1 > 0, d3 <= 0 and 2|d3| >= d1, which every
+    admissible parameter of the four classes satisfies.  Then the mu^2
+    coefficient is s (c - 2)((d1 - |d3|) c/4 - |d3|/2) >= 0 on [0, 2] and the
+    majorant is non-decreasing in mu.
     """
     d1, d2, d3, d4 = prof.d1, prof.d2, prof.d3, prof.d4
     if not (d1 > 0 and d3 <= 0 and 2.0 * abs(d3) >= d1):
         raise ValueError(
             f"certified bound needs d1 > 0, d3 <= 0, 2|d3| >= d1; got d1={d1!r}, d3={d3!r}"
         )
-    k4 = d1 / 4.0 + d2 / 2.0 + d3 / 4.0 + d4
-    linear = abs(d1 + d2 + d3)
+    return abs(d1 / 4.0 + d2 / 2.0 + d3 / 4.0 + d4), abs(d1 + d2 + d3)
+
+
+def certified_quadratic(prof: QuadraticProfile) -> tuple[float, float, float]:
+    """(P', Q', R') with T * max over t in [0, 4] of P' t^2 + Q' t + R' an
+    upper bound for T |d1 c1 c3 + d2 c1^2 c2 + d3 c2^2 + d4 c1^4|: the
+    mu = 1 section, in t = c^2, of the majorant of ``majorant_weights``,
+    which is where that majorant peaks.
+    """
+    d1, d3 = prof.d1, prof.d3
+    quartic, linear = majorant_weights(prof)
     return (
-        abs(k4) - linear / 2.0 - (d1 - abs(d3)) / 4.0,
+        quartic - linear / 2.0 - (d1 - abs(d3)) / 4.0,
         2.0 * linear + d1 - 2.0 * abs(d3),
         4.0 * abs(d3),
     )
@@ -275,14 +285,29 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
     12 >= 8, convex 32/3 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha,
     all in units of B1); a ValueError is raised if that premise ever fails.
+    A ValueError is also raised when a value is not finite, or when the three
+    paper-form evaluations disagree, as overflow and cancellation make them
+    do at extreme target magnitudes.
     """
     prof = profile(spec)
     branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
     paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
     closed = _closed_form(spec, branch)
-    assert math.isclose(prof.T * branch_value, paper, rel_tol=1e-9, abs_tol=1e-15)
-    assert math.isclose(closed, prof.T * branch_value, rel_tol=1e-9, abs_tol=1e-12)
-    certified = prof.T * robust_quad_max(*certified_quadratic(prof))
+    coeffs = certified_quadratic(prof)
+    certified = prof.T * robust_quad_max(*coeffs)
+    # max() in robust_quad_max lets a nan through, so its inputs are checked
+    # as well; a sum is inf or nan whenever any of its terms is
+    if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(coeffs) + paper + closed + certified):
+        raise ValueError(f"bound of {spec.describe()} is not finite at this target's magnitude")
+    region = prof.T * branch_value
+    if not (
+        math.isclose(region, paper, rel_tol=1e-9, abs_tol=1e-15)
+        and math.isclose(closed, region, rel_tol=1e-9, abs_tol=1e-12)
+    ):
+        raise ValueError(
+            f"paper-form values of {spec.describe()} disagree at this target's magnitude: "
+            f"closed form {closed!r}, region {region!r}, endpoint/vertex {paper!r}"
+        )
     bound = max(paper, certified)
     return BoundResult(
         bound=bound,

@@ -1,8 +1,8 @@
 """Command line front end: bounds, grid verification, sweeps, series.
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit status is 0
-only when every requested check passes: 2 flags bad input, 1 flags a failed
-verification.
+only when every requested check passes: 2 flags bad input (a target whose
+bound overflows included), 1 flags a failed verification.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from . import bounds, classes, targets, verify
 DEFAULT_TOL = 1e-9
 SWEEP_VARS = ("alpha_order", "beta_strong", "gamma", "alpha_g", "A", "B")
 _PHI_DRIVEN_SWEEPS = ("alpha_order", "beta_strong", "A", "B")
+MAX_SWEEP_ROWS = 100_000
 
 
 def parse_complex(text: str) -> complex:
@@ -64,23 +66,26 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-g", type=float, help="alpha in [0,1] for --class galpha")
 
 
+def _preset_params(args) -> dict:
+    """The parameters of ``--preset`` taken from their own flags."""
+    if args.preset == "order_alpha":
+        if args.alpha is None:
+            raise ValueError("--preset order_alpha needs --alpha")
+        return {"alpha": args.alpha}
+    if args.preset == "strongly_beta":
+        if args.beta is None:
+            raise ValueError("--preset strongly_beta needs --beta")
+        return {"beta": args.beta}
+    if args.preset == "janowski":
+        if args.janowski_a is None or args.janowski_b is None:
+            raise ValueError("--preset janowski needs --janowski-a and --janowski-b")
+        return {"a": args.janowski_a, "b": args.janowski_b}
+    return {}
+
+
 def _build_phi(args) -> targets.PhiCoefficients:
     if args.preset is not None:
-        params = {}
-        if args.preset == "order_alpha":
-            if args.alpha is None:
-                raise ValueError("--preset order_alpha needs --alpha")
-            params["alpha"] = args.alpha
-        elif args.preset == "strongly_beta":
-            if args.beta is None:
-                raise ValueError("--preset strongly_beta needs --beta")
-            params["beta"] = args.beta
-        elif args.preset == "janowski":
-            if args.janowski_a is None or args.janowski_b is None:
-                raise ValueError("--preset janowski needs --janowski-a and --janowski-b")
-            params["a"] = args.janowski_a
-            params["b"] = args.janowski_b
-        return targets.preset(args.preset, **params)
+        return targets.preset(args.preset, **_preset_params(args))
     if args.custom is not None:
         b1, b2, b3 = _parse_triple(args.custom)
         return targets.custom(b1, b2, b3)
@@ -176,9 +181,9 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     phi = _build_phi(args)
     spec = _build_spec(args, phi)
+    payload = _bound_payload(bounds.second_hankel_bound(spec))
     report = verify.empirical_sup(spec, grid=args.grid)
     max_c2, max_c3 = verify.check_caratheodory_bounds(args.samples, seed=args.seed)
-    payload = _bound_payload(bounds.second_hankel_bound(spec))
     payload.update(
         {
             "empirical_sup": report.empirical_sup,
@@ -207,15 +212,19 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_values(args) -> list[float]:
-    if args.step <= 0:
+    start, stop, step = args.start, args.stop, args.step
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("--start, --stop and --step must be finite")
+    if step <= 0:
         raise ValueError("--step must be positive")
-    values = []
-    v = args.start
-    while v <= args.stop + 1e-12:
-        values.append(round(v, 12))
-        v += args.step
+    last = stop + 1e-12
+    span = (last - start) / step
+    if span >= MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep has more than {MAX_SWEEP_ROWS} rows; raise --step")
+    # rows by index, not by accumulation; the filter settles the last one
+    values = [round(start + k * step, 12) for k in range(math.floor(span) + 2) if start + k * step <= last]
     if not values:
-        raise ValueError(f"empty sweep range: start={args.start}, stop={args.stop}, step={args.step}")
+        raise ValueError(f"empty sweep range: start={start}, stop={stop}, step={step}")
     return values
 
 
@@ -275,15 +284,7 @@ def cmd_sweep(args) -> int:
 def cmd_series(args) -> int:
     phi = _build_phi(args)
     if args.preset is not None:
-        params = {}
-        if args.preset == "order_alpha":
-            params["alpha"] = args.alpha
-        elif args.preset == "strongly_beta":
-            params["beta"] = args.beta
-        elif args.preset == "janowski":
-            params["a"] = args.janowski_a
-            params["b"] = args.janowski_b
-        series = targets.preset_series(args.preset, **params)
+        series = targets.preset_series(args.preset, **_preset_params(args))
     else:
         series = targets.phi_to_series(phi)
     coeffs = [c.real for c in series.coeffs]
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

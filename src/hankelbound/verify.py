@@ -11,7 +11,13 @@ with |x| <= 1 and |z| <= 1, so maximising |a2 a4 - a3^2| over a grid in
 (c, x, z) gives a certified lower estimate of the true supremum, to be held
 against the reported bound.  The functional is affine in z at fixed
 (c, x), so z is sampled on the unit circle only; x is sampled on concentric
-rings including |x| = 1, where the extremal configurations live.
+rings including |x| = 1, where the extremal configurations live.  The grid
+works from the class coefficients alone, never from (T, d1..d4), so it
+checks the bound independently.
+
+``majorant_surface`` is the other side: the triangle majorant in
+(c, mu = |x|) that the certified value is maximised through, and
+``check_mu_monotone`` checks that it peaks at mu = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import second_hankel_bound
+from .bounds import majorant_weights, profile, second_hankel_bound
 from .classes import ClassSpec, coefficient_arrays
 
 DEFAULT_GRID = (64, 32, 64)
@@ -31,12 +37,11 @@ _MIN_GRID = 8
 
 @dataclass(frozen=True)
 class CaratheodoryPoint:
-    """A point of the (c, x, z) parameter domain; mu tracks |x|."""
+    """A point of the (c, x, z) parameter domain; mu is |x|."""
 
     c: float
     x: complex
     z: complex
-    mu: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.c <= 2.0:
@@ -45,13 +50,13 @@ class CaratheodoryPoint:
             raise ValueError(f"|x| must be at most 1, got {abs(self.x)!r}")
         if abs(self.z) > 1.0 + 1e-12:
             raise ValueError(f"|z| must be at most 1, got {abs(self.z)!r}")
-        mu = abs(self.x) if self.mu is None else float(self.mu)
-        if not 0.0 <= mu <= 1.0 + 1e-12:
-            raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "x", complex(self.x))
         object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "mu", min(mu, 1.0))
+
+    @property
+    def mu(self) -> float:
+        return min(abs(self.x), 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,20 +91,6 @@ def caratheodory_expand(point: CaratheodoryPoint):
     return complex(c1), complex(c2), complex(c3)
 
 
-def _affine_parts(spec: ClassSpec, c: float, x: np.ndarray):
-    """h0 and hz with a2 a4 - a3^2 = h0 + hz * z along the z circle."""
-    s = 4.0 - c * c
-    ax = np.abs(x)
-    c2 = 0.5 * (c * c + x * s)
-    c3_base = 0.25 * (c**3 + 2.0 * s * c * x - c * s * x * x)
-    c3_slope = 0.5 * s * (1.0 - ax) * (1.0 + ax)
-    a2, a3, a4 = coefficient_arrays(spec, complex(c), c2, c3_base)
-    h0 = a2 * a4 - a3 * a3
-    b2, b3, b4 = coefficient_arrays(spec, complex(c), c2, c3_base + c3_slope)
-    hz = (b2 * b4 - b3 * b3) - h0
-    return h0, hz
-
-
 def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) -> VerificationReport:
     """Maximum of |a2 a4 - a3^2| over the parameter grid, with its margin
     against the reported bound.
@@ -110,17 +101,25 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     n_c, n_r, n_t = (int(v) for v in grid)
     if min(n_c, n_r, n_t) < _MIN_GRID:
         raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
+    bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
     radii = np.linspace(0.0, 1.0, n_r)
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
     x_points = (radii[:, None] * angles[None, :]).ravel()
     z_points = angles
+    z_ends = np.array([[0.0], [1.0]])
 
     best_value = -1.0
     best = (0, 0, 0)
     for ic, c in enumerate(c_values):
-        h0, hz = _affine_parts(spec, float(c), x_points)
-        values = np.abs(h0[:, None] + hz[:, None] * z_points[None, :])
+        # a2 a4 - a3^2 = h0 + hz * z, read off at z = 0 and z = 1
+        a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(float(c), x_points, z_ends))
+        h0, h1 = a2 * a4 - a3 * a3
+        hz = h1 - h0
+        # in place, so each c allocates a single grid-sized temporary
+        values = hz[:, None] * z_points[None, :]
+        values += h0[:, None]
+        values = np.abs(values)
         ix, iz = np.unravel_index(int(np.argmax(values)), values.shape)
         if values[ix, iz] > best_value:
             best_value = float(values[ix, iz])
@@ -128,7 +127,6 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     argmax = CaratheodoryPoint(
         c=float(c_values[best[0]]), x=complex(x_points[best[1]]), z=complex(z_points[best[2]])
     )
-    bound = second_hankel_bound(spec).bound
     violations = check_mu_monotone(spec)
     return VerificationReport(
         empirical_sup=best_value,
@@ -141,63 +139,25 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
 
 
 def majorant_surface(spec: ClassSpec, c, mu):
-    """The intermediate majorant F(c, mu) each bound is maximised through.
+    """The majorant F(c, mu) of |a2 a4 - a3^2| that the bound is maximised
+    through: T times the triangle majorant of ``bounds.majorant_weights``,
+    built from the (T, d1..d4) of ``bounds.profile``.
 
-    For real parameters with aligned signs the signed functional never
-    exceeds this surface, and for fixed c it is non-decreasing in mu, which
-    is what pins the maximisation to mu = 1.  Broadcasts over numpy arrays.
+    For every x and z with |x| = mu and |z| <= 1 it dominates
+    |a2 a4 - a3^2| at c1 = c, it is non-decreasing in mu, and its mu = 1
+    section is the certified quadratic.  Broadcasts over numpy arrays.
     """
-    b1, b2, b3 = spec.phi.b1, spec.phi.b2, spec.phi.b3
-    ab2, ab3 = abs(b2), abs(b3)
+    prof = profile(spec)
+    quartic, linear = majorant_weights(prof)
     c = np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
     s = 4.0 - c * c
     c2 = c * c
-    c4 = c2 * c2
-    if spec.kind == "starlike":
-        T = b1 / 96.0
-        quartic = -2.0 * b1**3 + 8.0 * ab3 - 6.0 * b2 * b2 / b1
-        return T * (
-            0.25 * c4 * quartic
-            + 4.0 * b1 * c * s
-            + ab2 * s * mu * c2
-            + 0.5 * b1 * mu * mu * s * (c - 6.0) * (c - 2.0)
-        )
-    if spec.kind == "convex":
-        T = b1 / 768.0
-        quartic = -(b1**3) + b1 * ab2 + 6.0 * ab3 - 4.0 * b2 * b2 / b1
-        return T * (
-            (c4 / 3.0) * quartic
-            + 4.0 * b1 * c * s
-            + (mu * c2 * s / 3.0) * (b1 * b1 + 4.0 * ab2)
-            + (2.0 * b1 / 3.0) * mu * mu * s * (c - 4.0) * (c - 2.0)
-        )
-    if spec.kind == "rgt":
-        p = spec.p
-        g = spec.gamma
-        T = abs(spec.tau) ** 2 * b1 * b1 / (128.0 * (1 + g) * (1 + 3 * g))
-        r = b2 / b1
-        return T * (
-            c4 * abs(b3 / b1 - p * r * r)
-            + 2.0 * c * s
-            + 2.0 * mu * abs(r) * c2 * s * (1.0 - p)
-            + mu * mu * s * (1.0 - p) * (c - 2.0) * (c - 2.0 * p / (1.0 - p))
-        )
-    # galpha
-    p = spec.p
-    a = spec.alpha
-    T = b1 / (128.0 * (1 + a) * (1 + 2 * a))
-    quartic = (
-        b1**3 * a * (2 * a - 1 - p * a)
-        + a * b1 * ab2 * (3 - 2 * p)
-        + (a + 1) * ab3
-        - p * b2 * b2 / b1
-    )
-    return T * (
-        c4 * quartic
-        + 2.0 * c * s * b1 * (1 + a)
-        + mu * c2 * s * (b1 * b1 * a * (3 - 2 * p) + 2.0 * ab2 * (1 + a - p))
-        + mu * mu * s * b1 * (1 + a - p) * (c - 2.0) * (c - 2.0 * p / (1 + a - p))
+    return prof.T * (
+        quartic * c2 * c2
+        + 0.5 * linear * c2 * s * mu
+        + 0.25 * s * mu * mu * np.abs(prof.d3 * s - prof.d1 * c2)
+        + 0.5 * prof.d1 * c * s * (1.0 - mu * mu)
     )
 
 

@@ -245,70 +245,19 @@ class TestSecondHankelBound:
 
 
 class TestMajorantConsistency:
-    """The mu = 1 section of the maximisation surface is the quadratic
-    T (P t^2 + Q t + R) in t = c^2, for every class."""
+    """The mu = 1 section of the maximisation surface is the certified
+    quadratic T (P' t^2 + Q' t + R') in t = c^2, for every class."""
 
     @pytest.mark.parametrize("kind", hb.classes.KINDS)
     def test_surface_matches_profile(self, kind, rng):
+        c = np.linspace(0, 2, 41)
+        t = c**2
         for _ in range(40):
             spec = random_spec(rng, kind)
             prof = hb.profile(spec)
-            t = np.linspace(0, 4, 41)
-            quad = prof.T * (prof.P * t**2 + prof.Q * t + prof.R)
-            g = self.vertex_surface(spec, np.sqrt(t))
-            np.testing.assert_allclose(g, quad, rtol=1e-10, atol=1e-12)
-
-    @staticmethod
-    def vertex_surface(spec, c):
-        """G(c): the collected closed form of the surface at mu = 1."""
-        phi = spec.phi
-        b1, ab2, ab3 = phi.b1, abs(phi.b2), abs(phi.b3)
-        c2, c4 = c**2, c**4
-        if spec.kind == "starlike":
-            return (b1 / 96) * (
-                (c4 / 4) * (-2 * b1**3 + 8 * ab3 - 6 * phi.b2**2 / b1 - ab2 - b1 / 2)
-                + 4 * c2 * (ab2 - b1)
-                + 24 * b1
-            )
-        if spec.kind == "convex":
-            return (b1 / 768) * (
-                (c4 / 3)
-                * (
-                    -(b1**3)
-                    + b1 * ab2
-                    + 6 * ab3
-                    - 4 * phi.b2**2 / b1
-                    - b1**2
-                    - 4 * ab2
-                    - 2 * b1
-                )
-                + (4 / 3) * c2 * (b1**2 + 4 * ab2 - 2 * b1)
-                + (64 / 3) * b1
-            )
-        if spec.kind == "rgt":
-            p, g = spec.p, spec.gamma
-            T = abs(spec.tau) ** 2 * b1**2 / (128 * (1 + g) * (1 + 3 * g))
-            r = phi.b2 / b1
-            return T * (
-                c4 * (abs(phi.b3 / b1 - p * r**2) - (1 - p) * (2 * abs(r) + 1))
-                + 4 * c2 * (2 * abs(r) * (1 - p) + 1 - 2 * p)
-                + 16 * p
-            )
-        p, a = spec.p, spec.alpha
-        T = b1 / (128 * (1 + a) * (1 + 2 * a))
-        return T * (
-            c4
-            * (
-                b1**3 * a * (2 * a - 1 - p * a)
-                + a * b1 * ab2 * (3 - 2 * p)
-                - b1**2 * a * (3 - 2 * p)
-                + (a + 1) * ab3
-                - (1 + a - p) * (2 * ab2 + b1)
-                - p * phi.b2**2 / b1
-            )
-            + 4 * c2 * (b1**2 * a * (3 - 2 * p) + 2 * ab2 * (1 + a - p) + b1 * (1 + a - 2 * p))
-            + 16 * p * b1
-        )
+            p, q, r = hb.certified_quadratic(prof)
+            quad = prof.T * (p * t**2 + q * t + r)
+            np.testing.assert_allclose(hb.majorant_surface(spec, c, 1.0), quad, rtol=1e-12)
 
 
 class TestCertifiedQuadratic:
@@ -328,7 +277,8 @@ class TestCertifiedQuadratic:
         s = 4 - c**2
         for kind in hb.classes.KINDS:
             for _ in range(20):
-                prof = hb.profile(random_spec(rng, kind))
+                spec = random_spec(rng, kind)
+                prof = hb.profile(spec)
                 d1, d2, d3, d4 = prof.d1, prof.d2, prof.d3, prof.d4
                 k4 = d1 / 4 + d2 / 2 + d3 / 4 + d4
                 majorant = (
@@ -337,6 +287,8 @@ class TestCertifiedQuadratic:
                     + s * mu**2 * np.abs(d3 * s - d1 * c**2) / 4
                     + abs(d1) / 2 * c * s * (1 - mu**2)
                 )
+                surface = hb.majorant_surface(spec, c, mu)
+                np.testing.assert_allclose(surface, prof.T * majorant, rtol=1e-12, atol=1e-15)
                 p, q, r = hb.certified_quadratic(prof)
                 t = c[:, 0] ** 2
                 np.testing.assert_allclose(majorant.max(axis=1), majorant[:, -1], rtol=1e-12)

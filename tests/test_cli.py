@@ -1,8 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelbound.cli import main, parse_complex
 
@@ -163,6 +168,7 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["param"] == "alpha_order"
+        assert [float(row["value"]) for row in rows] == [k / 16 for k in range(16)]
         for row in rows:
             alpha, bound = float(row["value"]), float(row["bound"])
             if alpha <= 0.75:
@@ -220,6 +226,18 @@ class TestSweepCommand:
         assert code == 2
         assert "janowski-b" in err
 
+    def test_oversized_sweep_rejected_promptly(self, capsys):
+        # 9e8 rows: refused before any row is built
+        began = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.9",
+            "--step", "1e-9",
+        )
+        assert time.perf_counter() - began < 1.0
+        assert code == 2
+        assert out == ""
+        assert "rows" in err
+
     def test_phi_source_conflicts_with_phi_driven_sweep(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5",
@@ -253,3 +271,43 @@ class TestSeriesCommand:
         with pytest.raises(SystemExit) as exc:
             main(["series", "--preset", "circle"])
         assert exc.value.code == 2
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+class_arguments = st.one_of(
+    st.just(["--class", "starlike"]),
+    st.just(["--class", "convex"]),
+    unit_floats.map(lambda g: ["--class", "rgt", "--gamma", repr(g), "--tau", "1+0i"]),
+    unit_floats.map(lambda a: ["--class", "galpha", "--alpha-g", repr(a)]),
+)
+
+
+class TestFailureContract:
+    """Every finite input exits 0 with a finite bound or 2 with a diagnosis."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--custom", "1e300,1,1"],
+            ["bound", "--custom", "1e-12,1e200,1e200"],
+            ["bound", "--class", "rgt", "--preset", "halfplane", "--tau", "1e200+0i"],
+            ["verify", "--custom", "1e150,1,1", "--grid", "8,8,8", "--samples", "10"],
+        ],
+    )
+    def test_overflow_is_diagnosed(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @settings(max_examples=400, deadline=None)
+    @given(class_arguments, finite_floats, finite_floats, finite_floats)
+    def test_every_finite_custom_triple(self, class_args, b1, b2, b3):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bound", f"--custom={b1!r},{b2!r},{b3!r}", *class_args, "--format", "json"])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert math.isfinite(json.loads(out.getvalue())["bound"])

@@ -142,7 +142,7 @@ class TestMuMonotone:
 
 
 class TestMajorantDomination:
-    """For real x, z the signed functional never exceeds the majorant."""
+    """|a2 a4 - a3^2| never exceeds the majorant at mu = |x|."""
 
     @pytest.mark.parametrize("kind", hb.classes.KINDS)
     def test_signed_functional_below_surface(self, kind, rng):
@@ -163,6 +163,19 @@ class TestMajorantDomination:
             surface = hb.majorant_surface(spec, c, np.abs(x))
             assert np.max(np.abs(h.imag)) < 1e-12
             assert np.all(h.real <= surface + 1e-10)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_modulus_below_surface_for_complex_parameters(self, kind, rng):
+        # x and z anywhere in the unit disk, any tau
+        for _ in range(60):
+            spec = random_spec(rng, kind)
+            c = rng.uniform(0, 2, 200)
+            x = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+            z = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+            c1, c2, c3 = expand_arrays(c, x, z)
+            a2, a3, a4 = coefficient_arrays(spec, c1, c2, c3)
+            surface = hb.majorant_surface(spec, c, np.abs(x))
+            assert np.all(np.abs(a2 * a4 - a3 * a3) <= surface + 1e-10)
 
     def test_surface_constant_in_mu_at_c_two(self):
         spec = hb.starlike(hb.preset("halfplane"))

@@ -285,16 +285,20 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
     12 >= 8, convex 32/3 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha,
     all in units of B1); a ValueError is raised if that premise ever fails.
-    A ValueError is also raised when a value is not finite, or when the three
-    paper-form evaluations disagree, as overflow and cancellation make them
-    do at extreme target magnitudes.
+    A ValueError is also raised when a value overflows or is not finite, or
+    when the three paper-form evaluations disagree, as overflow and
+    cancellation make them do at extreme target magnitudes.
     """
-    prof = profile(spec)
-    branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
-    paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
-    closed = _closed_form(spec, branch)
-    coeffs = certified_quadratic(prof)
-    certified = prof.T * robust_quad_max(*coeffs)
+    try:
+        prof = profile(spec)
+        branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
+        paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
+        closed = _closed_form(spec, branch)
+        coeffs = certified_quadratic(prof)
+        certified = prof.T * robust_quad_max(*coeffs)
+    except OverflowError as exc:
+        # float ** raises where * gives inf; both are the same bad target
+        raise ValueError(f"bound of {spec.describe()} overflows at this target's magnitude") from exc
     # max() in robust_quad_max lets a nan through, so its inputs are checked
     # as well; a sum is inf or nan whenever any of its terms is
     if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(coeffs) + paper + closed + certified):

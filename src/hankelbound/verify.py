@@ -8,12 +8,13 @@ reachable as
     4 c3 = c^3 + 2 (4-c^2) c x - c (4-c^2) x^2 + 2 (4-c^2) (1-|x|^2) z
 
 with |x| <= 1 and |z| <= 1, so maximising |a2 a4 - a3^2| over a grid in
-(c, x, z) gives a certified lower estimate of the true supremum, to be held
-against the reported bound.  The functional is affine in z at fixed
-(c, x), so z is sampled on the unit circle only; x is sampled on concentric
-rings including |x| = 1, where the extremal configurations live.  The grid
-works from the class coefficients alone, never from (T, d1..d4), so it
-checks the bound independently.
+(c, x), and exactly in z, gives a certified lower estimate of the true
+supremum, to be held against the reported bound.  At fixed (c, x) the
+functional is h0 + hz z, affine in z, so its maximum over the z disk is
+|h0| + |hz|, taken where hz z has the phase of h0; x is sampled on
+concentric rings including |x| = 1, where the extremal configurations live.
+The grid works from the class coefficients alone, never from (T, d1..d4),
+so it checks the bound independently.
 
 ``majorant_surface`` is the other side: the triangle majorant in
 (c, mu = |x|) that the certified value is maximised through, and
@@ -96,7 +97,8 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     against the reported bound.
 
     ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], rings of the
-    x disk, and angles both for the rings and for the z circle.
+    x disk, and angles on each ring.  z is not sampled: at each (c, x) the
+    maximum over |z| <= 1 is taken exactly, and ``argmax.z`` is its maximiser.
     """
     n_c, n_r, n_t = (int(v) for v in grid)
     if min(n_c, n_r, n_t) < _MIN_GRID:
@@ -106,26 +108,24 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     radii = np.linspace(0.0, 1.0, n_r)
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
     x_points = (radii[:, None] * angles[None, :]).ravel()
-    z_points = angles
     z_ends = np.array([[0.0], [1.0]])
 
     best_value = -1.0
-    best = (0, 0, 0)
+    best = (0, 0, 0j, 0j)
+    # one c at a time keeps the arrays cache-sized; all c at once is slower
     for ic, c in enumerate(c_values):
         # a2 a4 - a3^2 = h0 + hz * z, read off at z = 0 and z = 1
         a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(float(c), x_points, z_ends))
         h0, h1 = a2 * a4 - a3 * a3
         hz = h1 - h0
-        # in place, so each c allocates a single grid-sized temporary
-        values = hz[:, None] * z_points[None, :]
-        values += h0[:, None]
-        values = np.abs(values)
-        ix, iz = np.unravel_index(int(np.argmax(values)), values.shape)
-        if values[ix, iz] > best_value:
-            best_value = float(values[ix, iz])
-            best = (ic, int(ix), int(iz))
+        values = np.abs(h0) + np.abs(hz)
+        ix = int(np.argmax(values))
+        if values[ix] > best_value:
+            best_value = float(values[ix])
+            best = (ic, ix, complex(h0[ix]), complex(hz[ix]))
+    ic, ix, h0_best, hz_best = best
     argmax = CaratheodoryPoint(
-        c=float(c_values[best[0]]), x=complex(x_points[best[1]]), z=complex(z_points[best[2]])
+        c=float(c_values[ic]), x=complex(x_points[ix]), z=_maximising_z(h0_best, hz_best)
     )
     violations = check_mu_monotone(spec)
     return VerificationReport(
@@ -136,6 +136,14 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         grid_sizes=(n_c, n_r, n_t),
         monotonicity_violations=violations,
     )
+
+
+def _maximising_z(h0: complex, hz: complex) -> complex:
+    """The z of the unit circle where |h0 + hz z| = |h0| + |hz|; 1 when
+    either part is 0 and every z does as well."""
+    if h0 == 0 or hz == 0:
+        return 1 + 0j
+    return (h0 / abs(h0)) / (hz / abs(hz))
 
 
 def majorant_surface(spec: ClassSpec, c, mu):
@@ -179,7 +187,11 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
 def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     radius = np.sqrt(rng.uniform(0.0, 1.0, count))
     angle = rng.uniform(0.0, 2.0 * np.pi, count)
-    return radius * np.exp(1j * angle)
+    # radius (cos + i sin), written in place: cheaper than radius * exp(i angle)
+    samples = np.empty(count, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=samples.real)
+    np.multiply(radius, np.sin(angle), out=samples.imag)
+    return samples
 
 
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:

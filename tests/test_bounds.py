@@ -243,6 +243,20 @@ class TestSecondHankelBound:
         with pytest.raises(ValueError):
             hb.starlike(hb.custom(1e-14, 0, 0))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            hb.starlike(hb.custom(1e120, 1, 1)),  # b1**3 in profile
+            hb.starlike(hb.custom(1, 1e200, 1)),  # b2**2 in _closed_form
+            hb.r_gamma_tau(hb.custom(1, 1, 1), 0.5, 1e200 + 0j),  # abs(tau)**2 in profile
+        ],
+        ids=["b1_cubed", "b2_squared", "tau_squared"],
+    )
+    def test_overflow_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match="overflows") as info:
+            hb.second_hankel_bound(spec)
+        assert isinstance(info.value.__cause__, OverflowError)
+
 
 class TestMajorantConsistency:
     """The mu = 1 section of the maximisation surface is the certified

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hankelbound as hb
 from hankelbound.cli import main, parse_complex
 
 from conftest import verify_against_closed_form
@@ -149,6 +151,34 @@ class TestVerifyCommand:
         assert payload["passed"] is False
         assert payload["margin"] < 0
         assert "margin" in err
+
+    def test_tol_is_relative_at_huge_bound(self, capsys):
+        # a margin of about -7e-16 of the bound is rounding, not a failure
+        code, out, _ = run_cli(
+            capsys, "verify", "--custom", "1e77,1,1", "--grid", "8,8,8",
+            "--samples", "10", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["margin"] >= -1e-9 * payload["bound"]
+
+    @pytest.mark.parametrize("shortfall, expected", [(2e-9, 1), (5e-10, 0)])
+    def test_tol_is_absolute_for_order_one_bounds(self, capsys, monkeypatch, shortfall, expected):
+        argv = (
+            "verify", "--preset", "lemniscate", "--grid", "16,8,16",
+            "--samples", "10", "--format", "json",
+        )
+        spec = hb.starlike(hb.preset("lemniscate"))
+        sup = hb.empirical_sup(spec, grid=(16, 8, 16)).empirical_sup
+
+        def bound_below_sup(spec):
+            return dataclasses.replace(hb.second_hankel_bound(spec), bound=sup - shortfall)
+
+        monkeypatch.setattr("hankelbound.verify.second_hankel_bound", bound_below_sup)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert json.loads(out)["margin"] == pytest.approx(-shortfall, rel=1e-6)
 
     def test_bound_agrees_with_bound_command_bitwise(self, capsys):
         _, out_bound, _ = run_cli(capsys, "bound", "--preset", "lemniscate", "--format", "json")

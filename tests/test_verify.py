@@ -3,7 +3,7 @@ import pytest
 
 import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
-from hankelbound.verify import expand_arrays
+from hankelbound.verify import _maximising_z, expand_arrays
 
 from conftest import (
     class_catalogue,
@@ -102,11 +102,16 @@ class TestEmpiricalSup:
         assert np.abs(a2 * a4 - a3**2).max() == 0
 
     def test_argmax_reproduces_reported_value(self, rng):
-        spec = random_spec(rng, "rgt")
-        report = hb.empirical_sup(spec, grid=(16, 8, 16))
-        c1, c2, c3 = hb.caratheodory_expand(report.argmax)
-        value = hb.hankel2(hb.coefficients_from_c(spec, c1, c2, c3))
-        assert value == pytest.approx(report.empirical_sup, rel=1e-12)
+        # rgt with complex tau: h0 and hz have unrelated phases, so the
+        # reported z is a genuine rotation, not +-1
+        for _ in range(10):
+            spec = random_spec(rng, "rgt")
+            assert spec.tau.imag != 0
+            report = hb.empirical_sup(spec, grid=(16, 8, 16))
+            assert abs(report.argmax.z) == pytest.approx(1.0, abs=1e-12)
+            c1, c2, c3 = hb.caratheodory_expand(report.argmax)
+            value = hb.hankel2(hb.coefficients_from_c(spec, c1, c2, c3))
+            assert value == pytest.approx(report.empirical_sup, rel=1e-12)
 
     def test_first_derivative_class_sound_on_random_targets(self, rng):
         # the fully |.|-majorised pipeline verifies everywhere in the box
@@ -126,6 +131,65 @@ class TestEmpiricalSup:
         report = hb.empirical_sup(spec)
         assert report.empirical_sup == pytest.approx(16 / 3, rel=1e-10)
         assert report.margin < -5
+
+
+def _affine_parts(spec, c, x):
+    """h0 and hz of a2 a4 - a3^2 = h0 + hz z at the points (c, x)."""
+    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, np.array([[0.0], [1.0]])))
+    h0, h1 = a2 * a4 - a3 * a3
+    return h0, h1 - h0
+
+
+class TestExactInZ:
+    """The verifier maximises over the z disk exactly, as |h0| + |hz|."""
+
+    CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_affine_maximum_matches_dense_circle(self, kind, rng):
+        for _ in range(20):
+            spec = random_spec(rng, kind)
+            c = rng.uniform(0, 2, 16)
+            x = np.sqrt(rng.uniform(0, 1, 16)) * np.exp(2j * np.pi * rng.uniform(0, 1, 16))
+            h0, hz = _affine_parts(spec, c, x)
+            exact = np.abs(h0) + np.abs(hz)
+            sampled = np.max(np.abs(h0[:, None] + hz[:, None] * self.CIRCLE[None, :]), axis=1)
+            np.testing.assert_allclose(exact, sampled, rtol=1e-6)
+            assert np.all(exact >= sampled - 1e-12)
+            # the reported maximiser attains it
+            attained = [abs(a + b * _maximising_z(complex(a), complex(b))) for a, b in zip(h0, hz)]
+            np.testing.assert_allclose(attained, exact, rtol=1e-12)
+
+    def test_interior_maximum_found_exactly(self, monkeypatch):
+        # a stand-in functional a2 a4 - a3^2 = c3 + e^{i}: since
+        # |c3| <= 2, its supremum 3 is reached only at c = 0, x = 0 with
+        # z = e^{i}, off every grid angle, where hz = 2 is far from 0
+        def shifted_c3(spec, c1, c2, c3):
+            return np.ones_like(c3), np.zeros_like(c3), c3 + np.exp(1j)
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", shifted_c3)
+        report = hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, 8))
+        assert report.empirical_sup == pytest.approx(3.0, rel=1e-15)
+        assert (report.argmax.c, report.argmax.x) == (0.0, 0j)
+        assert report.argmax.z == pytest.approx(np.exp(1j), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_sup_matches_sampled_z_on_same_grid(self, kind, rng):
+        # the z-sampling verifier this one replaced, kept as the reference
+        grid = (8, 8, 8)
+        c_values = np.linspace(0.0, 2.0, grid[0])
+        angles = np.exp(2j * np.pi * np.arange(grid[2]) / grid[2])
+        x = (np.linspace(0.0, 1.0, grid[1])[:, None] * angles[None, :]).ravel()
+        for _ in range(5):
+            spec = random_spec(rng, kind)
+            sampled = 0.0
+            for c in c_values:
+                h0, hz = _affine_parts(spec, float(c), x)
+                values = np.abs(h0[:, None] + hz[:, None] * self.CIRCLE[None, :])
+                sampled = max(sampled, float(values.max()))
+            sup = hb.empirical_sup(spec, grid=grid).empirical_sup
+            assert sup >= sampled - 1e-12
+            assert sup == pytest.approx(sampled, rel=1e-6)
 
 
 class TestMuMonotone:

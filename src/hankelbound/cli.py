@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_grid,
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
-        help="points along c, rings of the x disk, angles per ring (z is maximised exactly)",
+        help="points along c, rings of the x disk, angles per ring (z is maximised exactly); "
+        f"at most {verify.MAX_GRID_POINTS} points in all",
     )
     p_verify.add_argument(
         "--tol",
@@ -333,7 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed negative margin, relative to the bound when the bound exceeds 1",
     )
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_verify.add_argument("--samples", type=int, default=100_000, help="coefficient-bound samples")
+    p_verify.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help=f"coefficient-bound samples, at most {verify.MAX_SAMPLES}",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="bound along a parameter range, CSV by default")

@@ -21,6 +21,10 @@ MIN_B1 = 1e-12
 
 PRESET_NAMES = ("halfplane", "order_alpha", "strongly_beta", "lemniscate", "parabolic", "janowski")
 
+# Series kept per parameterised preset, about 0.6 KB each: a long-lived
+# process stays bounded, and a sweep's few hundred parameters still fit.
+_PRESET_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class PhiCoefficients:
@@ -68,7 +72,7 @@ def _halfplane_series(order: int) -> TruncatedSeries:
     return div(1 + z, 1 - z)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRESET_CACHE_SIZE)
 def _order_alpha_series(alpha: float, order: int) -> TruncatedSeries:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"order_alpha needs alpha in [0, 1), got {alpha}")
@@ -76,7 +80,7 @@ def _order_alpha_series(alpha: float, order: int) -> TruncatedSeries:
     return div(1 + (1 - 2 * alpha) * z, 1 - z)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRESET_CACHE_SIZE)
 def _strongly_beta_series(beta: float, order: int) -> TruncatedSeries:
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"strongly_beta needs beta in (0, 1], got {beta}")
@@ -106,7 +110,7 @@ def _parabolic_series(order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(coeffs, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRESET_CACHE_SIZE)
 def _janowski_series(a: float, b: float, order: int) -> TruncatedSeries:
     if not (-1.0 <= b < a <= 1.0):
         raise ValueError(f"janowski needs -1 <= B < A <= 1, got A={a}, B={b}")

@@ -19,10 +19,18 @@ so it checks the bound independently.
 ``majorant_surface`` is the other side: the triangle majorant in
 (c, mu = |x|) that the certified value is maximised through, and
 ``check_mu_monotone`` checks that it peaks at mu = 1.
+
+``check_caratheodory_bounds`` checks the parameterisation itself on seeded
+random points: |c2| and |c3| stay at most 2.  It streams its points in
+blocks of ``_BLOCK``, the same draws as one generator's whole arrays, so
+its memory is O(block) whatever the sample count.  Work is capped: at most
+``MAX_GRID_POINTS`` grid points and ``MAX_SAMPLES`` samples, refused with a
+``ValueError`` before anything is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,10 @@ DEFAULT_GRID = (64, 32, 64)
 DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
+MAX_GRID_POINTS = 2**24
+MAX_SAMPLES = 10_000_000
+# 4,096 complex values are 64 KB, under glibc's default 128 KB mmap threshold
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,15 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     against the reported bound.
 
     ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], rings of the
-    x disk, and angles on each ring.  z is not sampled: at each (c, x) the
-    maximum over |z| <= 1 is taken exactly, and ``argmax.z`` is its maximiser.
+    x disk, and angles on each ring, at most ``MAX_GRID_POINTS`` in all.
+    z is not sampled: at each (c, x) the maximum over |z| <= 1 is taken
+    exactly, and ``argmax.z`` is its maximiser.
     """
     n_c, n_r, n_t = (int(v) for v in grid)
     if min(n_c, n_r, n_t) < _MIN_GRID:
         raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
+    if n_c * n_r * n_t > MAX_GRID_POINTS:
+        raise ValueError(f"grid too large: n_c * n_r * n_theta must be at most {MAX_GRID_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
     radii = np.linspace(0.0, 1.0, n_r)
@@ -184,9 +199,11 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
     return int(np.count_nonzero(drops))
 
 
-def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    radius = np.sqrt(rng.uniform(0.0, 1.0, count))
-    angle = rng.uniform(0.0, 2.0 * np.pi, count)
+def _disk_samples(radius_rng: np.random.Generator, angle_rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points uniform on the unit disk: radii from one generator,
+    angles from the other."""
+    radius = np.sqrt(radius_rng.uniform(0.0, 1.0, count))
+    angle = angle_rng.uniform(0.0, 2.0 * np.pi, count)
     # radius (cos + i sin), written in place: cheaper than radius * exp(i angle)
     samples = np.empty(count, dtype=complex)
     np.multiply(radius, np.cos(angle), out=samples.real)
@@ -194,17 +211,50 @@ def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     return samples
 
 
+def _sample_blocks(samples: int, seed: int):
+    """The draws of ``default_rng(seed)``, in blocks of at most ``_BLOCK``.
+
+    That generator would draw c, |x|^2, arg x, |z|^2 and arg z, ``samples``
+    each, in this order, one 64-bit step per value.  Five copies of it,
+    advanced by 0, 1, ..., 4 times ``samples`` steps, replay those five
+    streams side by side, so the blocks hold exactly the same (c, x, z) and
+    no array longer than a block is ever built.
+    """
+    seed_seq = np.random.SeedSequence(seed)
+    streams = []
+    for k in range(5):
+        bits = np.random.PCG64(seed_seq)
+        bits.advance(k * samples)
+        streams.append(np.random.Generator(bits))
+    c_rng, x_radius, x_angle, z_radius, z_angle = streams
+    for start in range(0, samples, _BLOCK):
+        count = min(_BLOCK, samples - start)
+        yield (
+            c_rng.uniform(0.0, 2.0, count),
+            _disk_samples(x_radius, x_angle, count),
+            _disk_samples(z_radius, z_angle, count),
+        )
+
+
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
-    """Max |c2| and |c3| over random parameter points; both must stay <= 2."""
+    """Max |c2| and |c3| over random parameter points; both must stay <= 2.
+
+    The ``samples`` points are those of ``default_rng(seed)`` drawing c, then
+    x, then z in whole arrays, but they are drawn and evaluated in blocks of
+    ``_BLOCK``: memory stays O(block) whatever ``samples`` is, and every
+    temporary stays below the allocator's mmap threshold.  The result is the
+    same as evaluating the whole arrays, since a maximum does not depend on
+    grouping.  ``samples`` is at most ``MAX_SAMPLES``.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(0.0, 2.0, samples)
-    x = _disk_samples(rng, samples)
-    z = _disk_samples(rng, samples)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}")
     # boundary configurations known to reach |c2| = |c3| = 2 ride along
-    c = np.concatenate([c, [2.0, 0.0]])
-    x = np.concatenate([x, [0.25 + 0.5j, 1.0 + 0j]])
-    z = np.concatenate([z, [0.5j, -1.0 + 0j]])
-    _, c2, c3 = expand_arrays(c, x, z)
-    return float(np.max(np.abs(c2))), float(np.max(np.abs(c3)))
+    ride_along = (np.array([2.0, 0.0]), np.array([0.25 + 0.5j, 1.0 + 0j]), np.array([0.5j, -1.0 + 0j]))
+    max_c2 = max_c3 = 0.0
+    for c, x, z in itertools.chain(_sample_blocks(samples, seed), [ride_along]):
+        _, c2, c3 = expand_arrays(c, x, z)
+        max_c2 = max(max_c2, float(np.max(np.abs(c2))))
+        max_c3 = max(max_c3, float(np.max(np.abs(c3))))
+    return max_c2, max_c3

@@ -312,6 +312,18 @@ class_arguments = st.one_of(
     unit_floats.map(lambda a: ["--class", "galpha", "--alpha-g", repr(a)]),
 )
 
+# small, huge and negative: a verify's --samples, --grid axes and --seed;
+# half the grids are valid, so the checks after the grid's are reached too
+verify_counts = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=10**8, max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=-1),
+)
+verify_grids = st.one_of(
+    st.tuples(*[st.integers(min_value=8, max_value=32)] * 3),
+    st.tuples(verify_counts, verify_counts, verify_counts),
+)
+
 
 class TestFailureContract:
     """Every finite input exits 0 with a finite bound or 2 with a diagnosis."""
@@ -330,6 +342,31 @@ class TestFailureContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "work", [["--samples", "1000000000"], ["--grid", "100000,100000,100000"]]
+    )
+    def test_oversized_verify_is_refused_promptly(self, capsys, work):
+        # a 7.45 GiB draw and a 149 GiB grid: refused before either is built
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--preset", "halfplane", "--class", "starlike", *work)
+        assert time.perf_counter() - began < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(verify_counts, verify_grids, verify_counts)
+    def test_every_verify_workload_is_bounded(self, samples, grid, seed):
+        argv = ["verify", "--preset", "halfplane", f"--samples={samples}", "--grid={},{},{}".format(*grid),
+                f"--seed={seed}"]
+        out, err = io.StringIO(), io.StringIO()
+        began = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - began < 5.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=400, deadline=None)
     @given(class_arguments, finite_floats, finite_floats, finite_floats)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hankelbound as hb
+from hankelbound import targets
 from hankelbound.targets import load_phi_file, phi_to_series, preset_series
 
 
@@ -150,6 +151,25 @@ class TestPresetValidation:
     def test_janowski_range(self, a, b):
         with pytest.raises(ValueError):
             hb.preset("janowski", a=a, b=b)
+
+
+@pytest.mark.parametrize(
+    "name, cache, params",
+    [
+        ("order_alpha", targets._order_alpha_series, lambda v: {"alpha": v}),
+        ("strongly_beta", targets._strongly_beta_series, lambda v: {"beta": v}),
+        ("janowski", targets._janowski_series, lambda v: {"a": v, "b": -0.5}),
+    ],
+)
+def test_preset_caches_are_bounded(name, cache, params):
+    values = np.linspace(0.01, 0.99, 2000)
+    for value in values:
+        hb.preset(name, **params(value))
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the most recent parameters are still cached
+    hb.preset(name, **params(values[-1]))
+    assert cache.cache_info().hits == info.hits + 1
 
 
 class TestPhiFile:

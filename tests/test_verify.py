@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
-from hankelbound.verify import _maximising_z, expand_arrays
+from hankelbound.verify import MAX_GRID_POINTS, MAX_SAMPLES, _maximising_z, _sample_blocks, expand_arrays
 
 from conftest import (
     class_catalogue,
@@ -76,6 +78,39 @@ class TestCaratheodoryBounds:
         with pytest.raises(ValueError):
             hb.check_caratheodory_bounds(0)
 
+    def test_sample_count_capped(self):
+        with pytest.raises(ValueError, match="at most"):
+            hb.check_caratheodory_bounds(MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_streamed_draws_are_the_whole_array_draws(self, samples, seed):
+        # the oracle: c, then x, then z drawn from one generator in whole arrays
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.0, 2.0, samples)
+        disks = []
+        for _ in range(2):
+            radius = np.sqrt(rng.uniform(0.0, 1.0, samples))
+            angle = rng.uniform(0.0, 2.0 * np.pi, samples)
+            disks.append((radius * np.cos(angle), radius * np.sin(angle)))
+        blocks = list(_sample_blocks(samples, seed))
+        assert max(len(block_c) for block_c, _, _ in blocks) <= 4096
+        c_blocks, x_blocks, z_blocks = (np.concatenate(part) for part in zip(*blocks))
+        assert np.array_equal(c_blocks, c)
+        for streamed, (real, imag) in zip((x_blocks, z_blocks), disks):
+            assert np.array_equal(streamed.real, real)
+            assert np.array_equal(streamed.imag, imag)
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            max_c2, max_c3 = hb.check_caratheodory_bounds(1_000_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert max_c2 <= 2 + 1e-12 and max_c3 <= 2 + 1e-12
+
 
 class TestEmpiricalSup:
     def test_halfplane_starlike_attains_koebe(self):
@@ -93,6 +128,11 @@ class TestEmpiricalSup:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError, match="grid too small"):
             hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(4, 32, 64))
+
+    def test_grid_point_count_capped(self):
+        # refused before the grid is built: 64 * 262,145 points exceed the cap
+        with pytest.raises(ValueError, match="grid too large"):
+            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, MAX_GRID_POINTS // 64 + 1))
 
     def test_trivial_origin_grid_gives_zero(self):
         # single admissible point c = 0, x = 0 makes f(z) = z

@@ -17,11 +17,10 @@ from .classes import (
     convex,
     g_alpha,
     hankel2,
-    hankel_generic,
     r_gamma_tau,
     starlike,
 )
-from .series import TruncatedSeries, WORK_ORDER, compose, div, elementary, mul
+from .series import TruncatedSeries, WORK_ORDER, compose, div, elementary
 from .targets import PhiCoefficients, custom, load_phi_file, preset, preset_series
 from .verify import (
     CaratheodoryPoint,
@@ -59,10 +58,8 @@ __all__ = [
     "empirical_sup",
     "g_alpha",
     "hankel2",
-    "hankel_generic",
     "load_phi_file",
     "majorant_surface",
-    "mul",
     "preset",
     "preset_series",
     "profile",

@@ -17,11 +17,8 @@ independent cross-check of the closed forms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .series import TruncatedSeries, compose
 from .targets import PhiCoefficients, phi_to_series
@@ -185,29 +182,3 @@ def coefficients_from_schwarz(spec: ClassSpec, w: TruncatedSeries) -> Coefficien
 def hankel2(t: CoefficientTriple) -> float:
     """|a2 a4 - a3^2|, the second Hankel determinant in absolute value."""
     return abs(t.a2 * t.a4 - t.a3 * t.a3)
-
-
-def hankel_generic(coeffs, q: int, n: int) -> complex:
-    """Determinant of the q x q coefficient matrix [a_{n+i+j}], with a1 = 1.
-
-    ``coeffs`` lists a1, a2, ... starting from a1; generic plumbing for any
-    q >= 1 and n >= 1.
-    """
-    cs = [complex(v) for v in coeffs]
-    if not cs or cs[0] != 1:
-        raise ValueError("coefficient list must start with a1 = 1")
-    if q < 1 or n < 1:
-        raise ValueError("q and n must be positive integers")
-    top = n + 2 * (q - 1)
-    if len(cs) < top:
-        raise ValueError(f"need coefficients through a_{top}, got only {len(cs)}")
-    if q == 1:
-        return cs[n - 1]
-    matrix = np.array([[cs[n + i + j - 1] for j in range(q)] for i in range(q)])
-    return complex(np.linalg.det(matrix))
-
-
-def rotate_triple(t: CoefficientTriple, theta: float) -> CoefficientTriple:
-    """Coefficients of e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1)theta} a_n."""
-    w = cmath.exp(1j * theta)
-    return CoefficientTriple(t.a2 * w, t.a3 * w * w, t.a4 * w * w * w)

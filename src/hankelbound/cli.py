@@ -149,11 +149,12 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
-
-
-def _emit_human(payload: dict, path: str | None) -> None:
+def _emit_payload(payload: dict, args) -> None:
+    """Write ``payload`` to ``args.output``: sorted, indented JSON for
+    ``--format json``, otherwise one ``key.subkey = value`` line per leaf."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        return
     lines = []
 
     def walk(prefix: str, value) -> None:
@@ -164,17 +165,13 @@ def _emit_human(payload: dict, path: str | None) -> None:
             lines.append(f"{prefix} = {value}")
 
     walk("", payload)
-    _emit("\n".join(lines) + "\n", path)
+    _emit("\n".join(lines) + "\n", args.output)
 
 
 def cmd_bound(args) -> int:
     phi = _build_phi(args)
     result = bounds.second_hankel_bound(_build_spec(args, phi))
-    payload = _bound_payload(result)
-    if args.format == "json":
-        _emit_json(payload, args.output)
-    else:
-        _emit_human(payload, args.output)
+    _emit_payload(_bound_payload(result), args)
     return 0
 
 
@@ -199,10 +196,7 @@ def cmd_verify(args) -> int:
     tol = args.tol * max(1.0, abs(report.bound))
     ok = report.margin >= -tol and report.monotonicity_violations == 0
     payload["passed"] = ok
-    if args.format == "json":
-        _emit_json(payload, args.output)
-    else:
-        _emit_human(payload, args.output)
+    _emit_payload(payload, args)
     if not ok:
         print(
             f"verification failed: margin={report.margin:.6g} "
@@ -230,7 +224,9 @@ def _sweep_values(args) -> list[float]:
     return values
 
 
-def _sweep_point(args, var: str, value: float) -> bounds.BoundResult:
+def _sweep_point(args, var: str, value: float, phi: targets.PhiCoefficients | None) -> bounds.BoundResult:
+    """The bound at one row; ``phi`` is the fixed target of a ``gamma`` or
+    ``alpha_g`` sweep, and the other variables build their own."""
     if var == "alpha_order":
         phi = targets.preset("order_alpha", alpha=value)
     elif var == "beta_strong":
@@ -243,8 +239,6 @@ def _sweep_point(args, var: str, value: float) -> bounds.BoundResult:
         if args.janowski_a is None:
             raise ValueError("sweeping B needs a fixed --janowski-a")
         phi = targets.preset("janowski", a=args.janowski_a, b=value)
-    else:
-        phi = _build_phi(args)
 
     if var == "gamma":
         tau = (1 + 0j) if args.tau is None else args.tau
@@ -263,7 +257,9 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"sweep variable {var} builds its own target; drop the phi source")
     elif not (args.preset or args.custom or args.phi_file):
         raise ValueError(f"sweep variable {var} needs a phi source")
-    rows = [(var, value, _sweep_point(args, var, value)) for value in _sweep_values(args)]
+    values = _sweep_values(args)
+    phi = None if var in _PHI_DRIVEN_SWEEPS else _build_phi(args)
+    rows = [(var, value, _sweep_point(args, var, value, phi)) for value in values]
     if args.format == "json":
         payload = {
             "sweep": var,
@@ -272,7 +268,7 @@ def cmd_sweep(args) -> int:
                 for name, value, r in rows
             ],
         }
-        _emit_json(payload, args.output)
+        _emit_payload(payload, args)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -290,11 +286,7 @@ def cmd_series(args) -> int:
     else:
         series = targets.phi_to_series(phi)
     coeffs = [c.real for c in series.coeffs]
-    payload = {"phi": _phi_payload(phi), "series": coeffs, "order": series.order}
-    if args.format == "json":
-        _emit_json(payload, args.output)
-    else:
-        _emit_human(payload, args.output)
+    _emit_payload({"phi": _phi_payload(phi), "series": coeffs, "order": series.order}, args)
     return 0
 
 
@@ -325,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
         help="points along c, rings of the x disk, angles per ring (z is maximised exactly); "
-        f"at most {verify.MAX_GRID_POINTS} points in all",
+        f"at most {verify.MAX_GRID_POINTS} points in all and {verify.MAX_SLICE_POINTS} (NR * NT) per c",
     )
     p_verify.add_argument(
         "--tol",

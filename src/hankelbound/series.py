@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Default order for internal work.  The bound pipelines only consume
-# coefficients through z^3; the headroom guards against truncation bugs.
+# Default order of a series.  The bound pipelines read only z^1..z^3, and
+# ``targets.preset`` expands at order 3; order 8 is for the working series
+# that ``hankelbound series`` prints and the tests check past z^3.
 WORK_ORDER = 8
-
-_ELEMENTARY_KINDS = ("exp", "log1p", "sqrt1p", "pow1p")
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,6 @@ class TruncatedSeries:
         return cls.from_coeffs([value], order)
 
     @classmethod
-    def zero(cls, order: int = WORK_ORDER) -> "TruncatedSeries":
-        return cls.constant(0.0, order)
-
-    @classmethod
-    def one(cls, order: int = WORK_ORDER) -> "TruncatedSeries":
-        return cls.constant(1.0, order)
-
-    @classmethod
     def z(cls, order: int = WORK_ORDER) -> "TruncatedSeries":
         return cls.from_coeffs([0.0, 1.0], order)
 
@@ -69,9 +60,6 @@ class TruncatedSeries:
 
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def _same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -126,32 +114,9 @@ class TruncatedSeries:
     def __rtruediv__(self, other):
         return div(TruncatedSeries.constant(other, self.order), self)
 
-    # ------------------------------------------------------------------
-    # calculus
-
-    def deriv(self) -> "TruncatedSeries":
-        """Derivative; the order drops by one (a constant becomes zero)."""
-        if self.order == 0:
-            return TruncatedSeries((0j,))
-        return TruncatedSeries(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
-
-    def zderiv(self) -> "TruncatedSeries":
-        """z * d/dz, which keeps the order; handy for z f'(z) / f(z) quotients."""
-        return TruncatedSeries(tuple(k * c for k, c in enumerate(self.coeffs)))
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        return compose(self, inner)
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the common order; orders must match."""
-    if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
-        raise TypeError("mul expects two TruncatedSeries")
-    return a * b
-
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Long division: the q with mul(q, b) == a up to the stored order."""
+    """Long division: the q with q * b == a up to the stored order."""
     a._same_order(b)
     if b.coeffs[0] == 0:
         raise ZeroDivisionError("divisor has zero constant term")

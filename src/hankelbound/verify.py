@@ -24,8 +24,9 @@ so it checks the bound independently.
 random points: |c2| and |c3| stay at most 2.  It streams its points in
 blocks of ``_BLOCK``, the same draws as one generator's whole arrays, so
 its memory is O(block) whatever the sample count.  Work is capped: at most
-``MAX_GRID_POINTS`` grid points and ``MAX_SAMPLES`` samples, refused with a
-``ValueError`` before anything is built.
+``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` of them per c, and
+``MAX_SAMPLES`` samples, refused with a ``ValueError`` before anything is
+built.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
+# memory follows the x points of one c, about 280 B each: 2^16 is about 18 MB
+MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # 4,096 complex values are 64 KB, under glibc's default 128 KB mmap threshold
 _BLOCK = 4096
@@ -109,7 +112,8 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     against the reported bound.
 
     ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], rings of the
-    x disk, and angles on each ring, at most ``MAX_GRID_POINTS`` in all.
+    x disk, and angles on each ring, at most ``MAX_GRID_POINTS`` in all and
+    ``MAX_SLICE_POINTS`` (n_r * n_theta) per c.
     z is not sampled: at each (c, x) the maximum over |z| <= 1 is taken
     exactly, and ``argmax.z`` is its maximiser.
     """
@@ -118,6 +122,8 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
     if n_c * n_r * n_t > MAX_GRID_POINTS:
         raise ValueError(f"grid too large: n_c * n_r * n_theta must be at most {MAX_GRID_POINTS}")
+    if n_r * n_t > MAX_SLICE_POINTS:
+        raise ValueError(f"grid too large: n_r * n_theta must be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
     radii = np.linspace(0.0, 1.0, n_r)

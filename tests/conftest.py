@@ -33,6 +33,16 @@ def random_spec(rng: np.random.Generator, kind: str, phi=None) -> hb.ClassSpec:
     return hb.ClassSpec(kind, phi)
 
 
+def deriv(s: hb.TruncatedSeries) -> hb.TruncatedSeries:
+    """f' of a series f of order at least 1; the order drops by one."""
+    return hb.TruncatedSeries(tuple((k + 1) * c for k, c in enumerate(s.coeffs[1:])))
+
+
+def zderiv(s: hb.TruncatedSeries) -> hb.TruncatedSeries:
+    """z f'(z), at the order of f."""
+    return hb.TruncatedSeries(tuple(k * c for k, c in enumerate(s.coeffs)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1729)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelbound as hb
-from hankelbound.cli import main, parse_complex
+from hankelbound.cli import SWEEP_VARS, main, parse_complex
 
 from conftest import verify_against_closed_form
 
@@ -268,6 +268,21 @@ class TestSweepCommand:
         assert out == ""
         assert "rows" in err
 
+    @pytest.mark.parametrize("var", ["gamma", "alpha_g"])
+    def test_target_is_read_once_per_sweep(self, capsys, monkeypatch, tmp_path, var):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"B1": 1.0, "B2": 0.5, "B3": 0.25}))
+        calls = []
+        load = hb.targets.load_phi_file
+        monkeypatch.setattr(hb.targets, "load_phi_file", lambda p: calls.append(p) or load(p))
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sweep", var, "--start", "0", "--stop", "0.9375", "--step", "0.0625",
+            "--phi-file", str(path),
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 16
+        assert len(calls) == 1
+
     def test_phi_source_conflicts_with_phi_driven_sweep(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5",
@@ -324,6 +339,30 @@ verify_grids = st.one_of(
     st.tuples(verify_counts, verify_counts, verify_counts),
 )
 
+# a phi source, or none, and a preset's parameters, each possibly out of range
+phi_sources = st.one_of(
+    st.just([]),
+    st.sampled_from(hb.targets.PRESET_NAMES).map(lambda name: ["--preset", name]),
+    st.tuples(finite_floats, finite_floats, finite_floats).map(lambda t: ["--custom={!r},{!r},{!r}".format(*t)]),
+)
+preset_flags = st.lists(
+    st.tuples(st.sampled_from(["--alpha", "--beta", "--janowski-a", "--janowski-b"]), unit_floats | finite_floats),
+    max_size=3,
+).map(lambda pairs: [f"{flag}={value!r}" for flag, value in pairs])
+# a swept variable with the phi source it needs, or with any source
+sweep_targets = st.one_of(
+    st.tuples(st.sampled_from(["alpha_order", "beta_strong"]), st.just([])),
+    st.tuples(st.sampled_from(["A", "B"]), st.just(["--janowski-a=0.75", "--janowski-b=-0.5"])),
+    st.tuples(st.sampled_from(["gamma", "alpha_g"]), phi_sources.filter(bool)),
+    st.tuples(st.sampled_from(SWEEP_VARS), phi_sources),
+)
+# start, stop, step: a few dozen rows, mostly of valid parameters, or any
+# finite floats, which are mostly refused, empty or over the row cap
+sweep_ranges = st.one_of(
+    st.tuples(st.floats(-0.25, 1.0), st.floats(0.0, 1.25), st.floats(1 / 32, 1.0)),
+    st.tuples(finite_floats, finite_floats, finite_floats),
+)
+
 
 class TestFailureContract:
     """Every finite input exits 0 with a finite bound or 2 with a diagnosis."""
@@ -344,10 +383,11 @@ class TestFailureContract:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "work", [["--samples", "1000000000"], ["--grid", "100000,100000,100000"]]
+        "work", [["--samples", "1000000000"], ["--grid", "100000,100000,100000"], ["--grid", "8,512,4096"]]
     )
     def test_oversized_verify_is_refused_promptly(self, capsys, work):
-        # a 7.45 GiB draw and a 149 GiB grid: refused before either is built
+        # a 7.45 GiB draw, a 149 GiB grid and a 2^24-point grid whose 2^21
+        # points per c need about 700 MB: refused before any is built
         began = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--preset", "halfplane", "--class", "starlike", *work)
         assert time.perf_counter() - began < 1.0
@@ -364,6 +404,33 @@ class TestFailureContract:
         began = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert time.perf_counter() - began < 5.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_targets, sweep_ranges, preset_flags, class_arguments)
+    def test_every_sweep_is_bounded(self, target, sweep_range, param_args, class_args):
+        var, phi_args = target
+        argv = ["sweep", f"--sweep={var}", "--start={!r}".format(sweep_range[0]),
+                "--stop={!r}".format(sweep_range[1]), "--step={!r}".format(sweep_range[2]),
+                *phi_args, *param_args, *class_args]
+        out, err = io.StringIO(), io.StringIO()
+        began = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        # a sweep at the 100,000-row cap takes about 15 s on a 2-CPU Xeon
+        assert time.perf_counter() - began < 30.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(phi_sources.filter(bool), preset_flags, st.sampled_from(["human", "json"]))
+    def test_every_series_is_bounded(self, phi_args, param_args, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        began = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["series", *phi_args, *param_args, f"--format={fmt}"])
         assert time.perf_counter() - began < 5.0
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()

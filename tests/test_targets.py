@@ -44,6 +44,23 @@ def test_preset_series_matches_analytic_expansion(name):
     np.testing.assert_allclose(np.array(series.coeffs), expected, atol=1e-12)
 
 
+def test_preset_reads_the_working_series_bitwise():
+    # preset() expands at order 3; the triple must be that of the full series
+    rng = np.random.default_rng(20250810)
+    cases = [("halfplane", {}), ("lemniscate", {}), ("parabolic", {})]
+    for _ in range(25):
+        a, b = sorted(rng.uniform(-1.0, 1.0, 2), reverse=True)
+        cases += [
+            ("order_alpha", {"alpha": rng.uniform(0.0, 1.0)}),
+            ("strongly_beta", {"beta": rng.uniform(0.01, 1.0)}),
+            ("janowski", {"a": a, "b": b}),
+        ]
+    for name, params in cases:
+        phi = hb.preset(name, **params)
+        series = preset_series(name, **params)
+        assert (phi.b1, phi.b2, phi.b3) == tuple(series[k].real for k in (1, 2, 3)), (name, params)
+
+
 def test_halfplane_triple():
     phi = hb.preset("halfplane")
     assert (phi.b1, phi.b2, phi.b3) == (2.0, 2.0, 2.0)

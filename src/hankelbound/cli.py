@@ -8,8 +8,6 @@ bound overflows included), 1 flags a failed verification.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -18,9 +16,20 @@ from pathlib import Path
 from . import bounds, classes, targets, verify
 
 DEFAULT_TOL = 1e-9
-SWEEP_VARS = ("alpha_order", "beta_strong", "gamma", "alpha_g", "A", "B")
-_PHI_DRIVEN_SWEEPS = ("alpha_order", "beta_strong", "A", "B")
 MAX_SWEEP_ROWS = 100_000
+# swept variable -> (the preset each row builds, or None for the fixed phi
+# source; the flag each row sets; the class it forces, or None for --class)
+_SWEEPS = {
+    "alpha_order": ("order_alpha", "alpha", None),
+    "beta_strong": ("strongly_beta", "beta", None),
+    "gamma": (None, "gamma", "rgt"),
+    "alpha_g": (None, "alpha_g", "galpha"),
+    "A": ("janowski", "janowski_a", None),
+    "B": ("janowski", "janowski_b", None),
+}
+SWEEP_VARS = tuple(_SWEEPS)
+# preset parameter -> the flag that sets it
+_PARAM_FLAGS = {"alpha": "alpha", "beta": "beta", "a": "janowski_a", "b": "janowski_b"}
 
 
 def parse_complex(text: str) -> complex:
@@ -68,19 +77,11 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _preset_params(args) -> dict:
     """The parameters of ``--preset`` taken from their own flags."""
-    if args.preset == "order_alpha":
-        if args.alpha is None:
-            raise ValueError("--preset order_alpha needs --alpha")
-        return {"alpha": args.alpha}
-    if args.preset == "strongly_beta":
-        if args.beta is None:
-            raise ValueError("--preset strongly_beta needs --beta")
-        return {"beta": args.beta}
-    if args.preset == "janowski":
-        if args.janowski_a is None or args.janowski_b is None:
-            raise ValueError("--preset janowski needs --janowski-a and --janowski-b")
-        return {"a": args.janowski_a, "b": args.janowski_b}
-    return {}
+    params = {name: getattr(args, _PARAM_FLAGS[name]) for name in targets.PRESETS[args.preset][1]}
+    if None in params.values():
+        flags = " and ".join("--" + _PARAM_FLAGS[name].replace("_", "-") for name in params)
+        raise ValueError(f"--preset {args.preset} needs {flags}")
+    return params
 
 
 def _build_phi(args) -> targets.PhiCoefficients:
@@ -224,58 +225,27 @@ def _sweep_values(args) -> list[float]:
     return values
 
 
-def _sweep_point(args, var: str, value: float, phi: targets.PhiCoefficients | None) -> bounds.BoundResult:
-    """The bound at one row; ``phi`` is the fixed target of a ``gamma`` or
-    ``alpha_g`` sweep, and the other variables build their own."""
-    if var == "alpha_order":
-        phi = targets.preset("order_alpha", alpha=value)
-    elif var == "beta_strong":
-        phi = targets.preset("strongly_beta", beta=value)
-    elif var == "A":
-        if args.janowski_b is None:
-            raise ValueError("sweeping A needs a fixed --janowski-b")
-        phi = targets.preset("janowski", a=value, b=args.janowski_b)
-    elif var == "B":
-        if args.janowski_a is None:
-            raise ValueError("sweeping B needs a fixed --janowski-a")
-        phi = targets.preset("janowski", a=args.janowski_a, b=value)
-
-    if var == "gamma":
-        tau = (1 + 0j) if args.tau is None else args.tau
-        spec = classes.r_gamma_tau(phi, value, tau)
-    elif var == "alpha_g":
-        spec = classes.g_alpha(phi, value)
-    else:
-        spec = _build_spec(args, phi)
-    return bounds.second_hankel_bound(spec)
-
-
 def cmd_sweep(args) -> int:
     var = args.sweep
-    if var in _PHI_DRIVEN_SWEEPS:
-        if args.preset or args.custom or args.phi_file:
-            raise ValueError(f"sweep variable {var} builds its own target; drop the phi source")
-    elif not (args.preset or args.custom or args.phi_file):
+    preset, flag, kind = _SWEEPS[var]
+    if preset and (args.preset or args.custom or args.phi_file):
+        raise ValueError(f"sweep variable {var} builds its own target; drop the phi source")
+    if not (preset or args.preset or args.custom or args.phi_file):
         raise ValueError(f"sweep variable {var} needs a phi source")
     values = _sweep_values(args)
-    phi = None if var in _PHI_DRIVEN_SWEEPS else _build_phi(args)
-    rows = [(var, value, _sweep_point(args, var, value, phi)) for value in values]
+    phi = None if preset else _build_phi(args)
+    args.preset, args.kind = preset or args.preset, kind or args.kind
+    rows = []
+    # each row is the `bound` of its flag value
+    for value in values:
+        setattr(args, flag, value)
+        result = bounds.second_hankel_bound(_build_spec(args, phi or _build_phi(args)))
+        rows.append({"param": var, "value": value, "bound": result.bound, "branch": result.branch})
     if args.format == "json":
-        payload = {
-            "sweep": var,
-            "rows": [
-                {"param": name, "value": value, "bound": r.bound, "branch": r.branch}
-                for name, value, r in rows
-            ],
-        }
-        _emit_payload(payload, args)
+        _emit_payload({"sweep": var, "rows": rows}, args)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["param", "value", "bound", "branch"])
-        for name, value, r in rows:
-            writer.writerow([name, repr(value), repr(r.bound), r.branch])
-        _emit(buffer.getvalue(), args.output)
+        lines = [f"{r['param']},{r['value']!r},{r['bound']!r},{r['branch']}\n" for r in rows]
+        _emit("param,value,bound,branch\n" + "".join(lines), args.output)
     return 0
 
 
@@ -337,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="bound along a parameter range, CSV by default")
     _add_phi_arguments(p_sweep, required=False)
     _add_class_arguments(p_sweep)
-    p_sweep.add_argument("--sweep", choices=SWEEP_VARS, required=True, help="swept variable")
+    p_sweep.add_argument(
+        "--sweep", choices=SWEEP_VARS, required=True, help="swept variable; gamma forces --class rgt, alpha_g --class galpha"
+    )
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
-    p_sweep.add_argument("--format", choices=("csv", "json", "human"), default="csv")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--output", default="-", help="output path, '-' for stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -19,8 +19,6 @@ from .series import TruncatedSeries, WORK_ORDER, compose, div, elementary
 # Leading coefficients below this are rejected rather than extrapolated.
 MIN_B1 = 1e-12
 
-PRESET_NAMES = ("halfplane", "order_alpha", "strongly_beta", "lemniscate", "parabolic", "janowski")
-
 # Series kept per parameterised preset, about 0.6 KB each: a long-lived
 # process stays bounded, and a sweep's few hundred parameters still fit.
 _PRESET_CACHE_SIZE = 1024
@@ -118,21 +116,26 @@ def _janowski_series(a: float, b: float, order: int) -> TruncatedSeries:
     return div(1 + a * z, 1 + b * z)
 
 
+# name -> (its cached series builder, the builder's parameters in call order)
+PRESETS = {
+    "halfplane": (_halfplane_series, ()),
+    "order_alpha": (_order_alpha_series, ("alpha",)),
+    "strongly_beta": (_strongly_beta_series, ("beta",)),
+    "lemniscate": (_lemniscate_series, ()),
+    "parabolic": (_parabolic_series, ()),
+    "janowski": (_janowski_series, ("a", "b")),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset_series(name: str, order: int = WORK_ORDER, **params: float) -> TruncatedSeries:
     """Full working series of a named preset target."""
-    if name == "halfplane":
-        return _halfplane_series(order)
-    if name == "order_alpha":
-        return _order_alpha_series(float(params["alpha"]), order)
-    if name == "strongly_beta":
-        return _strongly_beta_series(float(params["beta"]), order)
-    if name == "lemniscate":
-        return _lemniscate_series(order)
-    if name == "parabolic":
-        return _parabolic_series(order)
-    if name == "janowski":
-        return _janowski_series(float(params["a"]), float(params["b"]), order)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESET_NAMES:  # a tuple: an unhashable name is refused, not a TypeError
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    build, names = PRESETS[name]
+    if params.keys() != set(names):
+        raise ValueError(f"preset {name} takes parameters ({', '.join(names)}), got ({', '.join(params)})")
+    return build(*(float(params[p]) for p in names), order)
 
 
 def preset(name: str, **params: float) -> PhiCoefficients:
@@ -140,7 +143,8 @@ def preset(name: str, **params: float) -> PhiCoefficients:
 
     ``order_alpha`` takes ``alpha`` in [0, 1), ``strongly_beta`` takes
     ``beta`` in (0, 1], ``janowski`` takes ``a`` and ``b`` with
-    -1 <= b < a <= 1; the other presets take no parameters.
+    -1 <= b < a <= 1; the other presets take no parameters.  A missing or
+    unexpected parameter raises ``ValueError``.
     """
     # B1..B3 are the same bits at order 3 as at WORK_ORDER, at a fraction of the cost
     series = preset_series(name, order=3, **params)

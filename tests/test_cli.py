@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import random
 import time
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelbound as hb
-from hankelbound.cli import SWEEP_VARS, main, parse_complex
+from hankelbound.cli import SWEEP_VARS, build_parser, main, parse_complex
 
 from conftest import verify_against_closed_form
 
@@ -249,12 +251,25 @@ class TestSweepCommand:
         )
         assert out.splitlines()[0] == "param,value,bound,branch"
 
-    def test_janowski_a_sweep_needs_fixed_b(self, capsys):
+    @pytest.mark.parametrize("var, fixed", [("A", "janowski-b"), ("B", "janowski-a")])
+    def test_janowski_a_sweep_needs_fixed_b(self, capsys, var, fixed):
         code, _, err = run_cli(
-            capsys, "sweep", "--sweep", "A", "--start", "0.2", "--stop", "0.8", "--step", "0.2"
+            capsys, "sweep", "--sweep", var, "--start", "0.2", "--stop", "0.8", "--step", "0.2"
         )
         assert code == 2
-        assert "janowski-b" in err
+        assert fixed in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_human_format_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5", "--step", "0.25",
+                  "--format", "human"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hankelbound sweep")
+        assert "invalid choice: 'human'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_oversized_sweep_rejected_promptly(self, capsys):
         # 9e8 rows: refused before any row is built
@@ -290,6 +305,94 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "drop the phi source" in err
+
+
+# class flags for a sweep; a gamma or alpha_g sweep must ignore them
+SWEEP_CLASS_ARGS = (
+    [],
+    ["--class=starlike"],
+    ["--class=convex"],
+    ["--class=rgt", "--gamma=0.25", "--tau=0.5-1.5i"],
+    ["--class=galpha", "--alpha-g=0.6"],
+)
+SWEEP_PHI_SOURCES = (
+    ["--preset=lemniscate"],
+    ["--preset=order_alpha", "--alpha=0.4"],
+    ["--preset=janowski", "--janowski-a=0.5", "--janowski-b=-0.5"],
+    ["--custom=1.5,0.3,-0.2"],
+)
+
+
+def seeded_sweep(rng: random.Random, var: str):
+    """A sweep of ``var`` in JSON and, for a row's value, the ``bound`` argv
+    that must give that row: the swept flag set to the value, with the class
+    a gamma or alpha_g sweep forces in place of ``--class``."""
+    cls = rng.choice(SWEEP_CLASS_ARGS)
+    start, step, n = rng.uniform(0.0, 0.5), rng.uniform(0.05, 0.1), rng.randint(2, 5)
+    if var == "alpha_order":
+        shared, bound_only, flag = cls, ["--preset=order_alpha"], "--alpha"
+    elif var == "beta_strong":
+        start += 0.05
+        shared, bound_only, flag = cls, ["--preset=strongly_beta"], "--beta"
+    elif var == "A":
+        b = -rng.uniform(0.0, 1.0)
+        start = b + rng.uniform(0.05, 0.2)
+        shared, bound_only, flag = [*cls, f"--janowski-b={b!r}"], ["--preset=janowski"], "--janowski-a"
+    elif var == "B":
+        a = rng.uniform(0.5, 1.0)
+        start = -rng.uniform(0.5, 1.0)
+        shared, bound_only, flag = [*cls, f"--janowski-a={a!r}"], ["--preset=janowski"], "--janowski-b"
+    elif var == "gamma":
+        tau = f"--tau={rng.uniform(0.25, 2.0)!r}{rng.uniform(-2.0, 2.0):+}i"
+        shared, bound_only, flag = [*rng.choice(SWEEP_PHI_SOURCES), tau], ["--class=rgt"], "--gamma"
+    else:
+        shared, bound_only, flag = rng.choice(SWEEP_PHI_SOURCES), ["--class=galpha"], "--alpha-g"
+    sweep = ["sweep", "--sweep", var, f"--start={start!r}", f"--stop={start + (n - 0.5) * step!r}",
+             f"--step={step!r}", *cls, *shared, "--format", "json"]
+    return sweep, n, lambda value: ["bound", *shared, *bound_only, f"{flag}={value!r}", "--format", "json"]
+
+
+class TestSweepRowIsBound:
+    @pytest.mark.parametrize("var", SWEEP_VARS)
+    def test_each_row_equals_bound_at_its_value(self, capsys, var):
+        rng = random.Random(f"sweep-row-{var}")
+        for _ in range(4):
+            sweep, n, bound_argv = seeded_sweep(rng, var)
+            code, out, err = run_cli(capsys, *sweep)
+            assert code == 0, err
+            rows = json.loads(out)["rows"]
+            assert len(rows) == n
+            for row in rows:
+                code, out, err = run_cli(capsys, *bound_argv(row["value"]))
+                assert code == 0, err
+                payload = json.loads(out)
+                assert (row["bound"], row["branch"]) == (payload["bound"], payload["branch"]), (sweep, row)
+
+
+# a valid invocation of each subcommand, run once per --format choice
+FORMAT_CASES = {
+    "bound": ["bound", "--preset", "halfplane"],
+    "verify": ["verify", "--preset", "halfplane", "--grid", "8,8,8", "--samples", "100"],
+    "sweep": ["sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5", "--step", "0.25"],
+    "series": ["series", "--preset", "halfplane"],
+}
+
+
+def format_choices(command: str) -> tuple:
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(FORMAT_CASES)
+    return next(a.choices for a in commands[command]._actions if a.dest == "format")
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+def test_format_choices_give_distinct_output(capsys, command):
+    outputs = {}
+    for fmt in format_choices(command):
+        code, out, err = run_cli(capsys, *FORMAT_CASES[command], "--format", fmt)
+        assert code == 0, err
+        outputs[fmt] = out
+    assert len(set(outputs.values())) == len(outputs), f"{command}: two --format choices print the same"
 
 
 class TestSeriesCommand:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestPresetValidation:
     def test_janowski_range(self, a, b):
         with pytest.raises(ValueError):
             hb.preset("janowski", a=a, b=b)
+
+    @pytest.mark.parametrize(
+        "name, params, expected",
+        [("halfplane", {"alpha": 0.3}, "()"), ("janowski", {"a": 0.5}, "(a, b)"), ("order_alpha", {"beta": 0.5}, "(alpha)")],
+    )
+    def test_wrong_parameters(self, name, params, expected):
+        # a missing or stray parameter is refused, never ignored or a KeyError
+        with pytest.raises(ValueError, match=re.escape(f"preset {name} takes parameters {expected}")):
+            hb.preset(name, **params)
 
 
 @pytest.mark.parametrize(

@@ -76,17 +76,24 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _preset_params(args) -> dict:
-    """The parameters of ``--preset`` taken from their own flags."""
-    params = {name: getattr(args, _PARAM_FLAGS[name]) for name in targets.PRESETS[args.preset][1]}
+    """The parameters of ``--preset`` taken from their own flags; any other set preset flag is refused."""
+    names = targets.PRESETS[args.preset][1] if args.preset else ()
+    params = {name: getattr(args, _PARAM_FLAGS[name]) for name in names}
     if None in params.values():
         flags = " and ".join("--" + _PARAM_FLAGS[name].replace("_", "-") for name in params)
         raise ValueError(f"--preset {args.preset} needs {flags}")
+    stray = [flag for name, flag in _PARAM_FLAGS.items() if name not in params and getattr(args, flag) is not None]
+    if stray:
+        source = f"--preset {args.preset}" if args.preset else ("--custom" if args.custom else "--phi-file")
+        flags = " and ".join("--" + flag.replace("_", "-") for flag in stray)
+        raise ValueError(f"{source} does not take {flags}")
     return params
 
 
 def _build_phi(args) -> targets.PhiCoefficients:
+    params = _preset_params(args)
     if args.preset is not None:
-        return targets.preset(args.preset, **_preset_params(args))
+        return targets.preset(args.preset, **params)
     if args.custom is not None:
         b1, b2, b3 = _parse_triple(args.custom)
         return targets.custom(b1, b2, b3)
@@ -195,15 +202,15 @@ def cmd_verify(args) -> int:
     )
     # relative to the bound past 1, so rounding at a huge target is no failure
     tol = args.tol * max(1.0, abs(report.bound))
-    ok = report.margin >= -tol and report.monotonicity_violations == 0
-    payload["passed"] = ok
+    checks = {
+        "margin": report.margin >= -tol,
+        "mu monotonicity": report.monotonicity_violations == 0,
+        "caratheodory bounds": max(max_c2, max_c3) <= 2.0 + 1e-12,
+    }
+    payload["passed"] = all(checks.values())
     _emit_payload(payload, args)
-    if not ok:
-        print(
-            f"verification failed: margin={report.margin:.6g} "
-            f"violations={report.monotonicity_violations}",
-            file=sys.stderr,
-        )
+    if not payload["passed"]:
+        print(f"verification failed: {', '.join(name for name, ok in checks.items() if not ok)}", file=sys.stderr)
         return 1
     return 0
 

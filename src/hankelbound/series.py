@@ -141,11 +141,10 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     return result
 
 
-def elementary(kind: str, order: int = WORK_ORDER, exponent: float | None = None) -> TruncatedSeries:
+def elementary(kind: str, order: int = WORK_ORDER) -> TruncatedSeries:
     """Maclaurin series of a named elementary function.
 
-    Supported kinds: ``exp``, ``log1p`` (log(1+z)), ``sqrt1p`` (sqrt(1+z))
-    and ``pow1p`` ((1+z)**exponent, which requires ``exponent``).
+    Supported kinds: ``exp``, ``log1p`` (log(1+z)) and ``sqrt1p`` (sqrt(1+z)).
     """
     if order < 3:
         raise ValueError("order must be at least 3")
@@ -155,12 +154,8 @@ def elementary(kind: str, order: int = WORK_ORDER, exponent: float | None = None
         coeffs = [0.0] + [(-1.0) ** (k + 1) / k for k in range(1, order + 1)]
         return TruncatedSeries(tuple(coeffs))
     if kind == "sqrt1p":
-        return elementary("pow1p", order, exponent=0.5)
-    if kind == "pow1p":
-        if exponent is None:
-            raise ValueError("pow1p needs an exponent")
         coeffs = [1.0 + 0j]
         for k in range(1, order + 1):
-            coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
+            coeffs.append(coeffs[-1] * (1.5 - k) / k)
         return TruncatedSeries(tuple(coeffs))
     raise ValueError(f"unsupported series kind: {kind!r}")

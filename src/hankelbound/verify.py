@@ -21,9 +21,9 @@ so it checks the bound independently.
 ``check_mu_monotone`` checks that it peaks at mu = 1.
 
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
-random points: |c2| and |c3| stay at most 2.  It streams its points in
-blocks of ``_BLOCK``, the same draws as one generator's whole arrays, so
-its memory is O(block) whatever the sample count.  Work is capped: at most
+random points: |c2| and |c3| stay at most 2.  Its points are drawn block by
+block from one generator, ``_BLOCK`` at a time, so its memory is O(block)
+whatever the sample count.  Work is capped: at most
 ``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` of them per c, and
 ``MAX_SAMPLES`` samples, refused with a ``ValueError`` before anything is
 built.
@@ -205,11 +205,10 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
     return int(np.count_nonzero(drops))
 
 
-def _disk_samples(radius_rng: np.random.Generator, angle_rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` points uniform on the unit disk: radii from one generator,
-    angles from the other."""
-    radius = np.sqrt(radius_rng.uniform(0.0, 1.0, count))
-    angle = angle_rng.uniform(0.0, 2.0 * np.pi, count)
+def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points uniform on the unit disk, all radii drawn before the angles."""
+    radius = np.sqrt(rng.uniform(0.0, 1.0, count))
+    angle = rng.uniform(0.0, 2.0 * np.pi, count)
     # radius (cos + i sin), written in place: cheaper than radius * exp(i angle)
     samples = np.empty(count, dtype=complex)
     np.multiply(radius, np.cos(angle), out=samples.real)
@@ -217,49 +216,25 @@ def _disk_samples(radius_rng: np.random.Generator, angle_rng: np.random.Generato
     return samples
 
 
-def _sample_blocks(samples: int, seed: int):
-    """The draws of ``default_rng(seed)``, in blocks of at most ``_BLOCK``.
-
-    That generator would draw c, |x|^2, arg x, |z|^2 and arg z, ``samples``
-    each, in this order, one 64-bit step per value.  Five copies of it,
-    advanced by 0, 1, ..., 4 times ``samples`` steps, replay those five
-    streams side by side, so the blocks hold exactly the same (c, x, z) and
-    no array longer than a block is ever built.
-    """
-    seed_seq = np.random.SeedSequence(seed)
-    streams = []
-    for k in range(5):
-        bits = np.random.PCG64(seed_seq)
-        bits.advance(k * samples)
-        streams.append(np.random.Generator(bits))
-    c_rng, x_radius, x_angle, z_radius, z_angle = streams
-    for start in range(0, samples, _BLOCK):
-        count = min(_BLOCK, samples - start)
-        yield (
-            c_rng.uniform(0.0, 2.0, count),
-            _disk_samples(x_radius, x_angle, count),
-            _disk_samples(z_radius, z_angle, count),
-        )
-
-
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Max |c2| and |c3| over random parameter points; both must stay <= 2.
 
-    The ``samples`` points are those of ``default_rng(seed)`` drawing c, then
-    x, then z in whole arrays, but they are drawn and evaluated in blocks of
-    ``_BLOCK``: memory stays O(block) whatever ``samples`` is, and every
-    temporary stays below the allocator's mmap threshold.  The result is the
-    same as evaluating the whole arrays, since a maximum does not depend on
-    grouping.  ``samples`` is at most ``MAX_SAMPLES``.
+    The points are drawn from one ``default_rng(seed)``, ``_BLOCK`` at a time
+    (c, then the x disk, then the z disk), so memory stays O(block) and every
+    temporary stays below the allocator's mmap threshold.  ``samples`` is at
+    most ``MAX_SAMPLES``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}")
+    rng = np.random.default_rng(seed)
+    counts = (min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK))
+    blocks = ((rng.uniform(0.0, 2.0, n), _disk_samples(rng, n), _disk_samples(rng, n)) for n in counts)
     # boundary configurations known to reach |c2| = |c3| = 2 ride along
     ride_along = (np.array([2.0, 0.0]), np.array([0.25 + 0.5j, 1.0 + 0j]), np.array([0.5j, -1.0 + 0j]))
     max_c2 = max_c3 = 0.0
-    for c, x, z in itertools.chain(_sample_blocks(samples, seed), [ride_along]):
+    for c, x, z in itertools.chain(blocks, [ride_along]):
         _, c2, c3 = expand_arrays(c, x, z)
         max_c2 = max(max_c2, float(np.max(np.abs(c2))))
         max_c3 = max(max_c3, float(np.max(np.abs(c3))))

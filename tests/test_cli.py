@@ -154,6 +154,17 @@ class TestVerifyCommand:
         assert payload["margin"] < 0
         assert "margin" in err
 
+    def test_caratheodory_violation_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("hankelbound.verify.check_caratheodory_bounds", lambda samples, seed: (2.0, 2.5))
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "halfplane", "--grid", "8,8,8", "--samples", "10", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["caratheodory_max"] == {"c2": 2.0, "c3": 2.5}
+        assert err == "verification failed: caratheodory bounds\n"
+
     def test_tol_is_relative_at_huge_bound(self, capsys):
         # a margin of about -7e-16 of the bound is rounding, not a failure
         code, out, _ = run_cli(
@@ -393,6 +404,24 @@ def test_format_choices_give_distinct_output(capsys, command):
         assert code == 0, err
         outputs[fmt] = out
     assert len(set(outputs.values())) == len(outputs), f"{command}: two --format choices print the same"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["bound", "--preset", "halfplane", "--alpha", "0.2", "--janowski-a", "0.5"], "--alpha and --janowski-a"),
+        (["series", "--preset", "lemniscate", "--beta", "0.2"], "--beta"),
+        (["bound", "--custom", "1,1,1", "--alpha", "0.3"], "--alpha"),
+        (["sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5", "--step", "0.25", "--beta", "0.3"],
+         "--beta"),
+    ],
+)
+def test_stray_preset_flag_is_refused(capsys, argv, flags):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f" does not take {flags}\n")
 
 
 class TestSeriesCommand:

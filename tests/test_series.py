@@ -123,9 +123,6 @@ class TestElementary:
         assert_series_close(s, expected)
         assert_series_close(s.truncate(3), [1, 0.5, -0.125, 0.0625])
 
-    def test_pow1p_one(self):
-        assert_series_close(elementary("pow1p", 4, exponent=1.0), [1, 1, 0, 0, 0])
-
     def test_log1p(self):
         s = elementary("log1p", 3)
         assert_series_close(s, [0, 1, -0.5, 1 / 3])
@@ -142,10 +139,6 @@ class TestElementary:
     def test_order_too_small(self):
         with pytest.raises(ValueError, match="at least 3"):
             elementary("exp", 2)
-
-    def test_pow1p_needs_exponent(self):
-        with pytest.raises(ValueError, match="exponent"):
-            elementary("pow1p", 4)
 
 
 @given(coeff_lists, coeff_lists)

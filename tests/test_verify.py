@@ -5,7 +5,7 @@ import pytest
 
 import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
-from hankelbound.verify import MAX_GRID_POINTS, MAX_SAMPLES, _maximising_z, _sample_blocks, expand_arrays
+from hankelbound.verify import MAX_GRID_POINTS, MAX_SAMPLES, _maximising_z, expand_arrays
 
 from conftest import (
     class_catalogue,
@@ -84,22 +84,56 @@ class TestCaratheodoryBounds:
 
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
-    def test_streamed_draws_are_the_whole_array_draws(self, samples, seed):
-        # the oracle: c, then x, then z drawn from one generator in whole arrays
+    def test_result_is_pinned(self, samples, seed):
+        # the ride-along points reach 2 exactly, and no drawn point passes it
+        assert hb.check_caratheodory_bounds(samples, seed) == (2.0, 2.0)
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
+        # the oracle: per block of at most 4,096, c, then x, then z drawn from
+        # one generator in whole arrays; one block is the whole sample
         rng = np.random.default_rng(seed)
-        c = rng.uniform(0.0, 2.0, samples)
-        disks = []
-        for _ in range(2):
-            radius = np.sqrt(rng.uniform(0.0, 1.0, samples))
-            angle = rng.uniform(0.0, 2.0 * np.pi, samples)
-            disks.append((radius * np.cos(angle), radius * np.sin(angle)))
-        blocks = list(_sample_blocks(samples, seed))
-        assert max(len(block_c) for block_c, _, _ in blocks) <= 4096
-        c_blocks, x_blocks, z_blocks = (np.concatenate(part) for part in zip(*blocks))
-        assert np.array_equal(c_blocks, c)
-        for streamed, (real, imag) in zip((x_blocks, z_blocks), disks):
-            assert np.array_equal(streamed.real, real)
-            assert np.array_equal(streamed.imag, imag)
+        oracle = []
+        for start in range(0, samples, 4096):
+            n = min(4096, samples - start)
+            c = rng.uniform(0.0, 2.0, n)
+            disks = []
+            for _ in range(2):
+                radius = np.sqrt(rng.uniform(0.0, 1.0, n))
+                angle = rng.uniform(0.0, 2.0 * np.pi, n)
+                disks.append((radius * np.cos(angle), radius * np.sin(angle)))
+            oracle.append((c, *disks))
+        seen = []
+
+        def spy(c, x, z):
+            seen.append((c, x, z))
+            return expand_arrays(c, x, z)
+
+        monkeypatch.setattr("hankelbound.verify.expand_arrays", spy)
+        hb.check_caratheodory_bounds(samples, seed)
+        blocks, ride_along = seen[:-1], seen[-1]
+        assert np.array_equal(ride_along[0], [2.0, 0.0])
+        assert len(blocks) == len(oracle)
+        for (block_c, block_x, block_z), (c, *disks) in zip(blocks, oracle):
+            assert np.array_equal(block_c, c)
+            for streamed, (real, imag) in zip((block_x, block_z), disks):
+                assert np.array_equal(streamed.real, real)
+                assert np.array_equal(streamed.imag, imag)
+
+    @pytest.mark.parametrize("seed", [0, 1729])
+    def test_draws_detect_a_faulty_expansion(self, monkeypatch, seed):
+        # c3 without the (1 - |x|^2) factor on z: the ride-along points miss
+        # it, so only the random draws can push |c3| past 2
+        def faulty_expand(c, x, z):
+            s = 4.0 - c * c
+            c3 = 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x + 2.0 * s * z)
+            return c + 0j, 0.5 * (c * c + x * s), c3
+
+        monkeypatch.setattr("hankelbound.verify.expand_arrays", faulty_expand)
+        assert hb.check_caratheodory_bounds(2, seed) == (2.0, 2.0)
+        _, max_c3 = hb.check_caratheodory_bounds(100_000, seed)
+        assert max_c3 > 3
 
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()

@@ -25,7 +25,6 @@ from .targets import PhiCoefficients, custom, load_phi_file, preset, preset_seri
 from .verify import (
     CaratheodoryPoint,
     VerificationReport,
-    caratheodory_expand,
     check_caratheodory_bounds,
     check_mu_monotone,
     empirical_sup,
@@ -44,7 +43,6 @@ __all__ = [
     "TruncatedSeries",
     "VerificationReport",
     "WORK_ORDER",
-    "caratheodory_expand",
     "certified_quadratic",
     "check_caratheodory_bounds",
     "check_mu_monotone",

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from .series import TruncatedSeries, compose
 from .targets import PhiCoefficients, phi_to_series
 
-KINDS = ("starlike", "convex", "rgt", "galpha")
+# class kind -> the parameters it takes, in the order describe prints them
+CLASS_PARAMS = {"starlike": (), "convex": (), "rgt": ("gamma", "tau"), "galpha": ("alpha",)}
+KINDS = tuple(CLASS_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,13 @@ class ClassSpec:
             raise ValueError(f"unknown class kind {self.kind!r}; choose from {KINDS}")
         if not isinstance(self.phi, PhiCoefficients):
             raise ValueError("phi must be a PhiCoefficients instance")
+        for name in ("alpha", "gamma", "tau"):
+            if getattr(self, name) is not None and name not in CLASS_PARAMS[self.kind]:
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.kind == "galpha":
             if self.alpha is None or not 0.0 <= float(self.alpha) <= 1.0:
                 raise ValueError(f"galpha needs alpha in [0, 1], got {self.alpha!r}")
             object.__setattr__(self, "alpha", float(self.alpha))
-            if self.gamma is not None or self.tau is not None:
-                raise ValueError("galpha takes no gamma or tau")
         elif self.kind == "rgt":
             if self.gamma is None or not 0.0 <= float(self.gamma) <= 1.0:
                 raise ValueError(f"rgt needs gamma in [0, 1], got {self.gamma!r}")
@@ -54,14 +57,6 @@ class ClassSpec:
                 raise ValueError("rgt needs a nonzero tau")
             object.__setattr__(self, "gamma", float(self.gamma))
             object.__setattr__(self, "tau", complex(self.tau))
-            if self.alpha is not None:
-                raise ValueError("rgt takes no alpha")
-        else:
-            if self.alpha is not None or self.gamma is not None or self.tau is not None:
-                raise ValueError(f"{self.kind} takes no extra parameters")
-        for v in (self.phi.b1, self.phi.b2, self.phi.b3):
-            if not math.isfinite(v):
-                raise ValueError("target coefficients must be finite")
 
     @property
     def p(self) -> float | None:
@@ -75,11 +70,8 @@ class ClassSpec:
         return None
 
     def describe(self) -> str:
-        if self.kind == "rgt":
-            return f"rgt(gamma={self.gamma:g}, tau={self.tau})"
-        if self.kind == "galpha":
-            return f"galpha(alpha={self.alpha:g})"
-        return self.kind
+        params = ", ".join(f"{name}={getattr(self, name):g}" for name in CLASS_PARAMS[self.kind])
+        return f"{self.kind}({params})" if params else self.kind
 
 
 def starlike(phi: PhiCoefficients) -> ClassSpec:

@@ -30,6 +30,9 @@ _SWEEPS = {
 SWEEP_VARS = tuple(_SWEEPS)
 # preset parameter -> the flag that sets it
 _PARAM_FLAGS = {"alpha": "alpha", "beta": "beta", "a": "janowski_a", "b": "janowski_b"}
+# class parameter -> the flag that sets it, and the value of an unset flag where it has one
+_CLASS_FLAGS = {"gamma": "gamma", "tau": "tau", "alpha": "alpha_g"}
+_CLASS_DEFAULTS = {"gamma": 0.0, "tau": 1 + 0j}
 
 
 def parse_complex(text: str) -> complex:
@@ -75,19 +78,27 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-g", type=float, help="alpha in [0,1] for --class galpha")
 
 
+def _flag_params(args, source: str, names, flags: dict, defaults: dict) -> dict:
+    """The parameters ``names`` of ``source``, each from its flag in ``flags`` or else from ``defaults``;
+    one with neither is refused, and so is any set flag of a parameter that ``source`` does not take."""
+    params = {name: getattr(args, flags[name]) for name in names}
+    params = {name: defaults.get(name) if value is None else value for name, value in params.items()}
+    if None in params.values():
+        raise ValueError(f"{source} needs {_flag_list(flags[name] for name in names)}")
+    stray = [flag for name, flag in flags.items() if name not in names and getattr(args, flag) is not None]
+    if stray:
+        raise ValueError(f"{source} does not take {_flag_list(stray)}")
+    return params
+
+
+def _flag_list(flags) -> str:
+    return " and ".join("--" + flag.replace("_", "-") for flag in flags)
+
+
 def _preset_params(args) -> dict:
     """The parameters of ``--preset`` taken from their own flags; any other set preset flag is refused."""
-    names = targets.PRESETS[args.preset][1] if args.preset else ()
-    params = {name: getattr(args, _PARAM_FLAGS[name]) for name in names}
-    if None in params.values():
-        flags = " and ".join("--" + _PARAM_FLAGS[name].replace("_", "-") for name in params)
-        raise ValueError(f"--preset {args.preset} needs {flags}")
-    stray = [flag for name, flag in _PARAM_FLAGS.items() if name not in params and getattr(args, flag) is not None]
-    if stray:
-        source = f"--preset {args.preset}" if args.preset else ("--custom" if args.custom else "--phi-file")
-        flags = " and ".join("--" + flag.replace("_", "-") for flag in stray)
-        raise ValueError(f"{source} does not take {flags}")
-    return params
+    source = f"--preset {args.preset}" if args.preset else ("--custom" if args.custom else "--phi-file")
+    return _flag_params(args, source, targets.PRESETS[args.preset][1] if args.preset else (), _PARAM_FLAGS, {})
 
 
 def _build_phi(args) -> targets.PhiCoefficients:
@@ -101,24 +112,15 @@ def _build_phi(args) -> targets.PhiCoefficients:
 
 
 def _build_spec(args, phi: targets.PhiCoefficients) -> classes.ClassSpec:
-    if args.kind == "rgt":
-        gamma = 0.0 if args.gamma is None else args.gamma
-        tau = (1 + 0j) if args.tau is None else args.tau
-        return classes.r_gamma_tau(phi, gamma, tau)
-    if args.kind == "galpha":
-        if args.alpha_g is None:
-            raise ValueError("--class galpha needs --alpha-g")
-        return classes.g_alpha(phi, args.alpha_g)
-    return classes.ClassSpec(args.kind, phi)
+    params = _flag_params(args, f"--class {args.kind}", classes.CLASS_PARAMS[args.kind], _CLASS_FLAGS, _CLASS_DEFAULTS)
+    return classes.ClassSpec(args.kind, phi, **params)
 
 
 def _class_payload(spec: classes.ClassSpec) -> dict:
     payload: dict = {"kind": spec.kind}
-    if spec.kind == "rgt":
-        payload["gamma"] = spec.gamma
-        payload["tau"] = {"re": spec.tau.real, "im": spec.tau.imag}
-    elif spec.kind == "galpha":
-        payload["alpha"] = spec.alpha
+    for name in classes.CLASS_PARAMS[spec.kind]:
+        value = getattr(spec, name)
+        payload[name] = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
     return payload
 
 
@@ -184,6 +186,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     phi = _build_phi(args)
     spec = _build_spec(args, phi)
     payload = _bound_payload(bounds.second_hankel_bound(spec))
@@ -239,6 +243,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep variable {var} builds its own target; drop the phi source")
     if not (preset or args.preset or args.custom or args.phi_file):
         raise ValueError(f"sweep variable {var} needs a phi source")
+    if getattr(args, flag) is not None:
+        raise ValueError(f"sweep variable {var} sets {_flag_list([flag])} on every row; drop it")
     values = _sweep_values(args)
     phi = None if preset else _build_phi(args)
     args.preset, args.kind = preset or args.preset, kind or args.kind
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="allowed negative margin, relative to the bound when the bound exceeds 1",
+        help="allowed negative margin, finite and at least 0, relative to the bound when the bound exceeds 1",
     )
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument(

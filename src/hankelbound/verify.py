@@ -101,12 +101,6 @@ def expand_arrays(c, x, z):
     return c1, c2, c3
 
 
-def caratheodory_expand(point: CaratheodoryPoint):
-    """The coefficients (c1, c2, c3) encoded by a parameter point."""
-    c1, c2, c3 = expand_arrays(point.c, point.x, point.z)
-    return complex(c1), complex(c2), complex(c3)
-
-
 def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) -> VerificationReport:
     """Maximum of |a2 a4 - a3^2| over the parameter grid, with its margin
     against the reported bound.

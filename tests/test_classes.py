@@ -10,6 +10,7 @@ import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
 from hankelbound.series import TruncatedSeries, compose, div
 from hankelbound.targets import phi_to_series
+from hankelbound.verify import expand_arrays
 
 from conftest import deriv, random_phi, random_spec, zderiv
 
@@ -46,6 +47,10 @@ disk_point = st.tuples(
 )
 
 
+# each class with valid values of its own parameters
+OWN_PARAMS = {"starlike": {}, "convex": {}, "rgt": {"gamma": 0.5, "tau": 2}, "galpha": {"alpha": 0.5}}
+
+
 class TestClassSpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="unknown class kind"):
@@ -66,6 +71,14 @@ class TestClassSpec:
     def test_plain_kinds_take_no_parameters(self):
         with pytest.raises(ValueError):
             hb.ClassSpec("starlike", hb.preset("halfplane"), alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for kind, own in OWN_PARAMS.items() for name in ("alpha", "gamma", "tau") if name not in own],
+    )
+    def test_stray_parameter_is_named(self, kind, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            hb.ClassSpec(kind, hb.preset("halfplane"), **OWN_PARAMS[kind], **{name: 0.5})
 
     def test_p_ranges(self):
         for g in np.linspace(0, 1, 11):
@@ -180,7 +193,7 @@ class TestSubordinationRoundTrip:
             c = rng.uniform(0, 2)
             x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.7
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.7
-            c1, c2, c3 = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, z))
+            c1, c2, c3 = expand_arrays(c, x, z)
             w = schwarz_from_c(c1, c2, c3)
             t = hb.coefficients_from_c(spec, c1, c2, c3)
             lhs = lhs_series(spec, series_from_triple(t))
@@ -221,7 +234,7 @@ class TestCoefficientsFromSchwarz:
     def test_agrees_with_closed_forms(self, point, kind):
         c, x, z = point
         spec = random_spec(np.random.default_rng(99), kind, hb.preset("halfplane"))
-        c1, c2, c3 = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, z))
+        c1, c2, c3 = expand_arrays(c, x, z)
         ta = hb.coefficients_from_schwarz(spec, schwarz_from_c(c1, c2, c3))
         tb = hb.coefficients_from_c(spec, c1, c2, c3)
         assert ta.a2 == pytest.approx(tb.a2, abs=1e-10)
@@ -304,4 +317,5 @@ def test_coefficient_arrays_vectorises(rng):
 def test_describe_labels():
     assert hb.starlike(hb.preset("halfplane")).describe() == "starlike"
     assert "gamma=0.5" in hb.r_gamma_tau(hb.preset("halfplane"), 0.5, 2).describe()
+    assert hb.r_gamma_tau(hb.preset("halfplane"), 0.5, 2).describe() == "rgt(gamma=0.5, tau=2+0j)"
     assert "alpha=0.25" in hb.g_alpha(hb.preset("halfplane"), 0.25).describe()

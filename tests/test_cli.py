@@ -193,6 +193,15 @@ class TestVerifyCommand:
         assert code == expected
         assert json.loads(out)["margin"] == pytest.approx(-shortfall, rel=1e-6)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_out_of_range_is_refused(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "halfplane", "--grid", "8,8,8", "--samples", "10", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol ") and err.count("\n") == 1
+
     def test_bound_agrees_with_bound_command_bitwise(self, capsys):
         _, out_bound, _ = run_cli(capsys, "bound", "--preset", "lemniscate", "--format", "json")
         _, out_verify, _ = run_cli(
@@ -309,6 +318,22 @@ class TestSweepCommand:
         assert len(out.splitlines()) == 1 + 16
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "var, given",
+        [
+            ("alpha_order", ["--alpha", "0.9"]),
+            ("gamma", ["--preset", "halfplane", "--class", "rgt", "--gamma", "0.9"]),
+        ],
+    )
+    def test_swept_flag_is_refused(self, capsys, var, given):
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", var, "--start", "0", "--stop", "0.5", "--step", "0.25", *given
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" sets {given[-2]} " in err
+
     def test_phi_source_conflicts_with_phi_driven_sweep(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--sweep", "alpha_order", "--start", "0", "--stop", "0.5",
@@ -318,7 +343,8 @@ class TestSweepCommand:
         assert "drop the phi source" in err
 
 
-# class flags for a sweep; a gamma or alpha_g sweep must ignore them
+# class flags for a sweep; a gamma or alpha_g sweep overrides --class and
+# refuses another class's flags, so it keeps only the --class token
 SWEEP_CLASS_ARGS = (
     [],
     ["--class=starlike"],
@@ -339,6 +365,8 @@ def seeded_sweep(rng: random.Random, var: str):
     that must give that row: the swept flag set to the value, with the class
     a gamma or alpha_g sweep forces in place of ``--class``."""
     cls = rng.choice(SWEEP_CLASS_ARGS)
+    if var in ("gamma", "alpha_g"):
+        cls = cls[:1]
     start, step, n = rng.uniform(0.0, 0.5), rng.uniform(0.05, 0.1), rng.randint(2, 5)
     if var == "alpha_order":
         shared, bound_only, flag = cls, ["--preset=order_alpha"], "--alpha"
@@ -422,6 +450,33 @@ def test_stray_preset_flag_is_refused(capsys, argv, flags):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(f" does not take {flags}\n")
+
+
+SWEEP_HEAD = ["sweep", "--start", "0", "--stop", "0.5", "--step", "0.25"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--preset", "halfplane", "--class", "starlike", "--gamma", "0.5"],
+         "--class starlike does not take --gamma"),
+        (["bound", "--preset", "halfplane", "--class", "galpha", "--alpha-g", "0.5", "--tau", "2"],
+         "--class galpha does not take --tau"),
+        (["bound", "--preset", "halfplane", "--class", "rgt", "--alpha-g", "0.3"],
+         "--class rgt does not take --alpha-g"),
+        (["verify", "--preset", "halfplane", "--class", "convex", "--tau", "1+1i"],
+         "--class convex does not take --tau"),
+        ([*SWEEP_HEAD, "--sweep", "gamma", "--preset", "halfplane", "--alpha-g", "0.5"],
+         "--class rgt does not take --alpha-g"),
+        ([*SWEEP_HEAD, "--sweep", "alpha_g", "--preset", "halfplane", "--class", "rgt", "--gamma", "0.3", "--tau", "2"],
+         "--class galpha does not take --gamma and --tau"),
+    ],
+)
+def test_stray_class_flag_is_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestSeriesCommand:

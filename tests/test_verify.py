@@ -18,15 +18,15 @@ from conftest import (
 
 class TestCaratheodoryExpand:
     def test_boundary_c_two(self):
-        c1, c2, c3 = hb.caratheodory_expand(hb.CaratheodoryPoint(2.0, 0.3 + 0.1j, -0.5j))
+        c1, c2, c3 = expand_arrays(2.0, 0.3 + 0.1j, -0.5j)
         assert (c1, c2, c3) == (2, 2, 2)
 
     def test_c_zero_x_one(self):
-        c1, c2, c3 = hb.caratheodory_expand(hb.CaratheodoryPoint(0.0, 1.0 + 0j, 0.7j))
+        c1, c2, c3 = expand_arrays(0.0, 1.0 + 0j, 0.7j)
         assert (c1, c2, c3) == (0, 2, 0)
 
     def test_interior_point(self):
-        c1, c2, c3 = hb.caratheodory_expand(hb.CaratheodoryPoint(1.0, 0.5 + 0j, 1.0 + 0j))
+        c1, c2, c3 = expand_arrays(1.0, 0.5 + 0j, 1.0 + 0j)
         assert c1 == 1
         assert c2 == pytest.approx(1.25)
         assert c3 == pytest.approx(1.9375)
@@ -37,8 +37,8 @@ class TestCaratheodoryExpand:
         for _ in range(10):
             c = rng.uniform(0, 2)
             z1 = 0.8 * np.exp(2j * np.pi * rng.uniform())
-            _, _, c3a = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, z1))
-            _, _, c3b = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, -z1))
+            _, _, c3a = expand_arrays(c, x, z1)
+            _, _, c3b = expand_arrays(c, x, -z1)
             assert c3a == c3b
 
     def test_c3_nearly_ignores_z_on_sampled_circle(self, rng):
@@ -46,8 +46,8 @@ class TestCaratheodoryExpand:
             c = rng.uniform(0, 2)
             x = np.exp(2j * np.pi * rng.uniform())
             z1 = 0.8 * np.exp(2j * np.pi * rng.uniform())
-            _, _, c3a = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, z1))
-            _, _, c3b = hb.caratheodory_expand(hb.CaratheodoryPoint(c, x, -z1))
+            _, _, c3a = expand_arrays(c, x, z1)
+            _, _, c3b = expand_arrays(c, x, -z1)
             assert abs(c3a - c3b) < 1e-14
 
     def test_point_validation(self):
@@ -183,7 +183,7 @@ class TestEmpiricalSup:
             assert spec.tau.imag != 0
             report = hb.empirical_sup(spec, grid=(16, 8, 16))
             assert abs(report.argmax.z) == pytest.approx(1.0, abs=1e-12)
-            c1, c2, c3 = hb.caratheodory_expand(report.argmax)
+            c1, c2, c3 = expand_arrays(report.argmax.c, report.argmax.x, report.argmax.z)
             value = hb.hankel2(hb.coefficients_from_c(spec, c1, c2, c3))
             assert value == pytest.approx(report.empirical_sup, rel=1e-12)
 

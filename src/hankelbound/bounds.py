@@ -117,7 +117,7 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         P = abs(b3 / b1 - p * r * r) - (1.0 - p) * (2.0 * abs(r) + 1.0)
         Q = 4.0 * (2.0 * abs(r) * (1.0 - p) + 1.0 - 2.0 * p)
         R = 16.0 * p
-    elif spec.kind == "galpha":
+    else:  # galpha
         p = spec.p
         a = spec.alpha
         d1 = 4.0 * (1 + a) * b1
@@ -144,8 +144,6 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         )
         Q = 4.0 * (b1 * b1 * a * (3 - 2 * p) + 2.0 * ab2 * (1 + a - p) + b1 * (1 + a - 2 * p))
         R = 16.0 * p * b1
-    else:  # pragma: no cover - ClassSpec already validates the kind
-        raise ValueError(f"unknown class kind {spec.kind!r}")
     return QuadraticProfile(P=P, Q=Q, R=R, T=T, d1=d1, d2=d2, d3=d3, d4=d4)
 
 

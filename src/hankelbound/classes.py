@@ -53,10 +53,11 @@ class ClassSpec:
         elif self.kind == "rgt":
             if self.gamma is None or not 0.0 <= float(self.gamma) <= 1.0:
                 raise ValueError(f"rgt needs gamma in [0, 1], got {self.gamma!r}")
-            if self.tau is None or complex(self.tau) == 0:
-                raise ValueError("rgt needs a nonzero tau")
+            tau = complex(self.tau or 0)
+            if not (tau and math.isfinite(tau.real) and math.isfinite(tau.imag)):
+                raise ValueError(f"rgt needs a finite nonzero tau, got {self.tau!r}")
             object.__setattr__(self, "gamma", float(self.gamma))
-            object.__setattr__(self, "tau", complex(self.tau))
+            object.__setattr__(self, "tau", tau)
 
     @property
     def p(self) -> float | None:

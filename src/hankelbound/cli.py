@@ -74,7 +74,7 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
         "--class", dest="kind", choices=classes.KINDS, default="starlike", help="function class"
     )
     parser.add_argument("--gamma", type=float, help="gamma in [0,1] for --class rgt")
-    parser.add_argument("--tau", type=parse_complex, help="nonzero complex tau for --class rgt, e.g. 2+0i")
+    parser.add_argument("--tau", type=parse_complex, help="finite nonzero complex tau for --class rgt, e.g. 2+0i")
     parser.add_argument("--alpha-g", type=float, help="alpha in [0,1] for --class galpha")
 
 
@@ -116,23 +116,15 @@ def _build_spec(args, phi: targets.PhiCoefficients) -> classes.ClassSpec:
     return classes.ClassSpec(args.kind, phi, **params)
 
 
-def _class_payload(spec: classes.ClassSpec) -> dict:
-    payload: dict = {"kind": spec.kind}
-    for name in classes.CLASS_PARAMS[spec.kind]:
-        value = getattr(spec, name)
-        payload[name] = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
-    return payload
-
-
 def _phi_payload(phi: targets.PhiCoefficients) -> dict:
     return {"B1": phi.b1, "B2": phi.b2, "B3": phi.b3, "label": phi.label}
 
 
 def _bound_payload(result: bounds.BoundResult) -> dict:
-    prof = result.profile
+    prof, spec = result.profile, result.spec
     return {
-        "class": _class_payload(result.spec),
-        "phi": _phi_payload(result.spec.phi),
+        "class": {"kind": spec.kind, **{name: getattr(spec, name) for name in classes.CLASS_PARAMS[spec.kind]}},
+        "phi": _phi_payload(spec.phi),
         "bound": result.bound,
         "branch": result.branch,
         "P": prof.P,
@@ -143,31 +135,32 @@ def _bound_payload(result: bounds.BoundResult) -> dict:
     }
 
 
-def _point_payload(point: verify.CaratheodoryPoint) -> dict:
-    return {
-        "c": point.c,
-        "mu": point.mu,
-        "x": {"re": point.x.real, "im": point.x.imag},
-        "z": {"re": point.z.real, "im": point.z.imag},
-    }
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path in (None, "-"):
+def _emit(text: str, path: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
+def _complex_parts(value) -> dict:
+    """A complex ``value`` as ``{re, im}``; the ``default`` of ``json.dumps``."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_payload(payload: dict, args) -> None:
     """Write ``payload`` to ``args.output``: sorted, indented JSON for
-    ``--format json``, otherwise one ``key.subkey = value`` line per leaf."""
+    ``--format json``, otherwise one ``key.subkey = value`` line per leaf.
+    A complex leaf is written as its two parts, ``re`` then ``im``."""
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, default=_complex_parts) + "\n", args.output)
         return
     lines = []
 
     def walk(prefix: str, value) -> None:
+        if isinstance(value, complex):
+            value = _complex_parts(value)
         if isinstance(value, dict):
             for key in value:
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
@@ -197,7 +190,7 @@ def cmd_verify(args) -> int:
         {
             "empirical_sup": report.empirical_sup,
             "margin": report.margin,
-            "argmax": _point_payload(report.argmax),
+            "argmax": {"c": report.argmax.c, "mu": report.argmax.mu, "x": report.argmax.x, "z": report.argmax.z},
             "monotonicity_violations": report.monotonicity_violations,
             "grid": list(report.grid_sizes),
             "caratheodory_max": {"c2": max_c2, "c3": max_c3},

@@ -57,8 +57,9 @@ class TestClassSpec:
             hb.ClassSpec("spiral", hb.preset("halfplane"))
 
     def test_rgt_requires_nonzero_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            hb.r_gamma_tau(hb.preset("halfplane"), 0.5, 0)
+        for tau in (0, complex("nan"), float("inf"), complex(1, float("inf"))):
+            with pytest.raises(ValueError, match="tau"):
+                hb.r_gamma_tau(hb.preset("halfplane"), 0.5, tau)
 
     def test_rgt_gamma_range(self):
         with pytest.raises(ValueError, match="gamma"):

@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelbound as hb
@@ -470,6 +470,10 @@ SWEEP_HEAD = ["sweep", "--start", "0", "--stop", "0.5", "--step", "0.25"]
          "--class rgt does not take --alpha-g"),
         ([*SWEEP_HEAD, "--sweep", "alpha_g", "--preset", "halfplane", "--class", "rgt", "--gamma", "0.3", "--tau", "2"],
          "--class galpha does not take --gamma and --tau"),
+        (["bound", "--class", "rgt", "--tau", "nan", "--preset", "halfplane"],
+         "rgt needs a finite nonzero tau, got (nan+0j)"),
+        (["bound", "--class", "rgt", "--tau", "1e999", "--preset", "halfplane"],
+         "rgt needs a finite nonzero tau, got (inf+0j)"),
     ],
 )
 def test_stray_class_flag_is_refused(capsys, argv, message):
@@ -477,6 +481,34 @@ def test_stray_class_flag_is_refused(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+class TestComplexOutput:
+    """A complex value is written as {re, im}: rgt's tau, and x and z of verify's argmax."""
+
+    BOUND = ["bound", "--class", "rgt", "--gamma", "0.5", "--tau", "2+1i", "--preset", "halfplane"]
+    VERIFY = ["verify", "--class", "rgt", "--gamma", "0.5", "--tau", "2+1i", "--preset", "halfplane",
+              "--grid", "8,8,8", "--samples", "10"]
+
+    def test_json(self, capsys):
+        _, out, _ = run_cli(capsys, *self.BOUND, "--format", "json")
+        assert json.loads(out)["class"] == {"kind": "rgt", "gamma": 0.5, "tau": {"re": 2.0, "im": 1.0}}
+        _, out, _ = run_cli(capsys, *self.VERIFY, "--format", "json")
+        argmax = json.loads(out)["argmax"]
+        assert sorted(argmax) == ["c", "mu", "x", "z"]
+        for name in ("x", "z"):
+            assert sorted(argmax[name]) == ["im", "re"]
+            assert all(isinstance(part, float) for part in argmax[name].values())
+        assert math.hypot(argmax["x"]["re"], argmax["x"]["im"]) == pytest.approx(argmax["mu"])
+
+    def test_human(self, capsys):
+        _, out, _ = run_cli(capsys, *self.BOUND)
+        lines = out.splitlines()
+        at = lines.index("class.tau.re = 2.0")
+        assert lines[at + 1] == "class.tau.im = 1.0"
+        _, out, _ = run_cli(capsys, *self.VERIFY)
+        keys = [line.split(" = ")[0] for line in out.splitlines() if line.startswith("argmax.")]
+        assert keys == ["argmax.c", "argmax.mu", "argmax.x.re", "argmax.x.im", "argmax.z.re", "argmax.z.im"]
 
 
 class TestSeriesCommand:
@@ -539,7 +571,8 @@ preset_flags = st.lists(
 # a swept variable with the phi source it needs, or with any source
 sweep_targets = st.one_of(
     st.tuples(st.sampled_from(["alpha_order", "beta_strong"]), st.just([])),
-    st.tuples(st.sampled_from(["A", "B"]), st.just(["--janowski-a=0.75", "--janowski-b=-0.5"])),
+    st.tuples(st.just("A"), st.just(["--janowski-b=-0.5"])),
+    st.tuples(st.just("B"), st.just(["--janowski-a=0.75"])),
     st.tuples(st.sampled_from(["gamma", "alpha_g"]), phi_sources.filter(bool)),
     st.tuples(st.sampled_from(SWEEP_VARS), phi_sources),
 )
@@ -597,6 +630,8 @@ class TestFailureContract:
 
     @settings(max_examples=100, deadline=None)
     @given(sweep_targets, sweep_ranges, preset_flags, class_arguments)
+    @example(("A", ["--janowski-b=-0.5"]), (0.0, 1.0, 0.25), [], ["--class", "starlike"])
+    @example(("B", ["--janowski-a=0.75"]), (-1.0, 0.5, 0.25), [], ["--class", "convex"])
     def test_every_sweep_is_bounded(self, target, sweep_range, param_args, class_args):
         var, phi_args = target
         argv = ["sweep", f"--sweep={var}", "--start={!r}".format(sweep_range[0]),

@@ -8,6 +8,7 @@ bound overflows included), 1 flags a failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,8 +37,9 @@ _CLASS_DEFAULTS = {"gamma": 0.0, "tau": 1 + 0j}
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' (or plain reals) into a complex number."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """Parse 'a+bi' (or plain reals, inf and nan included) into a complex number."""
+    cleaned = text.strip().replace(" ", "")
+    cleaned = cleaned[:-1] + "j" if cleaned.endswith("i") else cleaned
     try:
         return complex(cleaned)
     except ValueError as exc:
@@ -266,7 +268,9 @@ def cmd_series(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hankelbound",
         description="Bounds for the second Hankel determinant |a2 a4 - a3^2| "

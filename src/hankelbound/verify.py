@@ -26,15 +26,15 @@ block from one generator, ``_BLOCK`` at a time, so its memory is O(block)
 whatever the sample count.  Work is capped: at most
 ``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` of them per c, and
 ``MAX_SAMPLES`` samples, refused with a ``ValueError`` before anything is
-built.
+built.  numpy is imported by the functions that use it, not by this module,
+so ``import hankelbound`` and the ``bound``, ``series`` and ``sweep``
+commands run without it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bounds import majorant_weights, profile, second_hankel_bound
 from .classes import ClassSpec, coefficient_arrays
@@ -93,6 +93,7 @@ def expand_arrays(c, x, z):
     The z weight is written (1 - |x|)(1 + |x|) so it vanishes exactly on the
     unit circle whenever |x| is exactly representable.
     """
+    import numpy as np
     s = 4.0 - c * c
     ax = np.abs(x)
     c1 = c + 0j
@@ -111,6 +112,7 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     z is not sampled: at each (c, x) the maximum over |z| <= 1 is taken
     exactly, and ``argmax.z`` is its maximiser.
     """
+    import numpy as np
     n_c, n_r, n_t = (int(v) for v in grid)
     if min(n_c, n_r, n_t) < _MIN_GRID:
         raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
@@ -170,6 +172,7 @@ def majorant_surface(spec: ClassSpec, c, mu):
     |a2 a4 - a3^2| at c1 = c, it is non-decreasing in mu, and its mu = 1
     section is the certified quadratic.  Broadcasts over numpy arrays.
     """
+    import numpy as np
     prof = profile(spec)
     quartic, linear = majorant_weights(prof)
     c = np.asarray(c, dtype=float)
@@ -190,6 +193,7 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
     At c = 2 the surface is constant in mu (every 4 - c^2 factor vanishes),
     which is not a violation; the comparison is non-strict with a tiny slack.
     """
+    import numpy as np
     n_c, n_mu = (int(v) for v in grid)
     c = np.linspace(0.0, 2.0, n_c)[:, None]
     mu = np.linspace(0.0, 1.0, n_mu)[None, :]
@@ -201,6 +205,7 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
 
 def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` points uniform on the unit disk, all radii drawn before the angles."""
+    import numpy as np
     radius = np.sqrt(rng.uniform(0.0, 1.0, count))
     angle = rng.uniform(0.0, 2.0 * np.pi, count)
     # radius (cos + i sin), written in place: cheaper than radius * exp(i angle)
@@ -218,6 +223,7 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
     temporary stays below the allocator's mmap threshold.  ``samples`` is at
     most ``MAX_SAMPLES``.
     """
+    import numpy as np
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:

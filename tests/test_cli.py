@@ -5,8 +5,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,11 +28,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """``python`` with this package's source on its path, in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hb.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestParseComplex:
     def test_a_plus_bi(self):
         assert parse_complex("2+0i") == 2 + 0j
         assert parse_complex("1.5-2i") == 1.5 - 2j
         assert parse_complex("3") == 3 + 0j
+        assert parse_complex("2+1i") == 2 + 1j
+        assert parse_complex("i") == 1j
+        assert parse_complex("-0.5i") == -0.5j
+
+    def test_only_a_trailing_i_is_the_imaginary_unit(self):
+        assert parse_complex("inf") == complex(math.inf, 0.0)
+        assert parse_complex("1+infi") == complex(1.0, math.inf)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -474,6 +491,10 @@ SWEEP_HEAD = ["sweep", "--start", "0", "--stop", "0.5", "--step", "0.25"]
          "rgt needs a finite nonzero tau, got (nan+0j)"),
         (["bound", "--class", "rgt", "--tau", "1e999", "--preset", "halfplane"],
          "rgt needs a finite nonzero tau, got (inf+0j)"),
+        (["bound", "--class", "rgt", "--tau", "inf", "--preset", "halfplane"],
+         "rgt needs a finite nonzero tau, got (inf+0j)"),
+        (["bound", "--class", "rgt", "--tau=1+infi", "--preset", "halfplane"],
+         "rgt needs a finite nonzero tau, got (1+infj)"),
     ],
 )
 def test_stray_class_flag_is_refused(capsys, argv, message):
@@ -481,6 +502,47 @@ def test_stray_class_flag_is_refused(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_cached_parser_carries_no_state(capsys):
+    # a gamma sweep sets --preset, --class and --gamma on its namespace; the
+    # next call, parsed by the same parser, must see none of them
+    assert build_parser() is build_parser()
+    code, _, err = run_cli(capsys, *SWEEP_HEAD, "--sweep", "gamma", "--preset", "halfplane", "--tau=2+1i")
+    assert code == 0, err
+    argv = ["bound", "--class", "starlike", "--preset", "halfplane", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    fresh = run_fresh("-m", "hankelbound.cli", *argv)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert out == fresh.stdout
+
+
+# bound, series and sweep leave numpy unloaded; the verifier then loads it
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import hankelbound as hb, hankelbound.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in (
+        "bound --preset lemniscate", "series --preset parabolic",
+        "sweep --sweep beta_strong --start 0.1 --stop 0.5 --step 0.1")]
+loaded = "numpy" in sys.modules
+spec = hb.starlike(hb.preset("halfplane"))
+report = hb.empirical_sup(spec, grid=(16, 8, 16))
+print(json.dumps({"codes": codes, "loaded": loaded, "sup": report.empirical_sup, "margin": report.margin,
+                  "violations": hb.check_mu_monotone(spec), "loaded_after": "numpy" in sys.modules}))
+"""
+
+
+def test_bound_path_does_not_import_numpy():
+    run = run_fresh("-c", NUMPY_FREE_SCRIPT)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] is False
+    assert result["sup"] >= 0.995 and result["margin"] >= -1e-9
+    assert result["violations"] == 0
+    assert result["loaded_after"] is True
 
 
 class TestComplexOutput:

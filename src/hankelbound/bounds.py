@@ -18,6 +18,9 @@ the order above is reported.  ``robust_quad_max`` recomputes the same
 maximum by endpoint/vertex enumeration with no region logic; ``branch`` and
 ``closed_form_value`` label and state that paper-form value.
 
+Convex is galpha at alpha = 1 and is computed by the galpha formulas with
+that weight (``ClassSpec.blend``); it has no formulas of its own.
+
 The starlike, convex and galpha closed forms keep the quartic coefficient
 signed, so on their own they can fall below the true supremum.  The
 reported ``bound`` is therefore the larger of the paper-form value and a
@@ -74,7 +77,7 @@ class BoundResult:
 
 def profile(spec: ClassSpec) -> QuadraticProfile:
     """Exact (P, Q, R, T, d1..d4) for the class; uses |B2|, |B3| where the
-    closed forms do."""
+    closed forms do.  Convex is computed as galpha at alpha = 1."""
     b1, b2, b3 = spec.phi.b1, spec.phi.b2, spec.phi.b3
     ab2, ab3 = abs(b2), abs(b3)
     if spec.kind == "starlike":
@@ -86,25 +89,6 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         P = 0.25 * (-2.0 * b1**3 + 8.0 * ab3 - 6.0 * b2 * b2 / b1 - ab2 - 0.5 * b1)
         Q = 4.0 * (ab2 - b1)
         R = 24.0 * b1
-    elif spec.kind == "convex":
-        d1 = 8.0 * b1
-        d2 = (2.0 / 3.0) * (b1 * b1 - 4.0 * b1 + 4.0 * b2)
-        d3 = -16.0 * b1 / 3.0
-        d4 = (
-            -(4.0 / 3.0) * b2
-            + (2.0 / 3.0) * b1
-            - (1.0 / 3.0) * b1**3
-            - (1.0 / 3.0) * b1 * b1
-            + (1.0 / 3.0) * b1 * b2
-            + 2.0 * b3
-            - (4.0 / 3.0) * b2 * b2 / b1
-        )
-        T = b1 / 768.0
-        P = (1.0 / 3.0) * (
-            -(b1**3) + b1 * ab2 + 6.0 * ab3 - 4.0 * b2 * b2 / b1 - b1 * b1 - 4.0 * ab2 - 2.0 * b1
-        )
-        Q = (4.0 / 3.0) * (b1 * b1 + 4.0 * ab2 - 2.0 * b1)
-        R = 64.0 * b1 / 3.0
     elif spec.kind == "rgt":
         p = spec.p
         g = spec.gamma
@@ -117,9 +101,9 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         P = abs(b3 / b1 - p * r * r) - (1.0 - p) * (2.0 * abs(r) + 1.0)
         Q = 4.0 * (2.0 * abs(r) * (1.0 - p) + 1.0 - 2.0 * p)
         R = 16.0 * p
-    else:  # galpha
+    else:  # galpha, convex as its alpha = 1
         p = spec.p
-        a = spec.alpha
+        a = spec.blend
         d1 = 4.0 * (1 + a) * b1
         d2 = 2.0 * (
             -2.0 * (1 + a) * b1 + 3.0 * a * b1 * b1 + 2.0 * (1 + a) * b2 - 2.0 * p * (a * b1 * b1 - b1 + b2)
@@ -183,22 +167,6 @@ def _closed_form(spec: ClassSpec, branch: str) -> float:
         num = 12.0 * b1**4 - 48.0 * b1 * ab3 + 40.0 * b2sq - 2.0 * b1 * ab2 + 7.0 * b1 * b1
         den = 4.0 * b1**4 - 16.0 * b1 * ab3 + 12.0 * b2sq + 2.0 * b1 * ab2 + b1 * b1
         return (b1 * b1 / 12.0) * num / den
-    if spec.kind == "convex":
-        if branch == CASE_R:
-            return b1 * b1 / 36.0
-        if branch == CASE_ENDPOINT:
-            return (-(b1**4) + b1 * b1 * ab2 + 6.0 * b1 * ab3 - 4.0 * b2sq) / 144.0
-        num = (
-            17.0 * b1**4
-            - 8.0 * b1 * b1 * ab2
-            - 96.0 * b1 * ab3
-            + 80.0 * b2sq
-            + 12.0 * b1**3
-            + 48.0 * b1 * ab2
-            + 36.0 * b1 * b1
-        )
-        den = b1**4 - b1 * b1 * ab2 - 6.0 * b1 * ab3 + 4.0 * b2sq + b1**3 + 4.0 * b1 * ab2 + 2.0 * b1 * b1
-        return (b1 * b1 / 576.0) * num / den
     if spec.kind == "rgt":
         p = spec.p
         g = spec.gamma
@@ -211,9 +179,9 @@ def _closed_form(spec: ClassSpec, branch: str) -> float:
         num = 4.0 * p * m - 4.0 * (1 - p) * b1 * (ab2 + p * b1) - 4.0 * b2sq * (1 - p) ** 2 - b1 * b1 * (1 - 2 * p) ** 2
         den = m - (1 - p) * b1 * (2.0 * ab2 + b1)
         return (t2 * b1 * b1 / (32.0 * (1 + g) * (1 + 3 * g))) * num / den
-    # galpha
+    # galpha, convex as its alpha = 1
     p = spec.p
-    a = spec.alpha
+    a = spec.blend
     if branch == CASE_R:
         return b1 * b1 / (9.0 * (1 + a) ** 2)
     if branch == CASE_ENDPOINT:
@@ -281,11 +249,11 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     (``closed_form_value``, labelled by ``branch``) and the certified value
     from ``certified_quadratic``; ties go to the paper-form value.  The
     certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
-    12 >= 8, convex 32/3 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha,
-    all in units of B1); a ValueError is raised if that premise ever fails.
-    A ValueError is also raised when a value overflows or is not finite, or
-    when the three paper-form evaluations disagree, as overflow and
-    cancellation make them do at extreme target magnitudes.
+    12 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha, so convex
+    8/3 >= 2, all in units of B1); a ValueError is raised if that premise
+    ever fails.  A ValueError is also raised when a value overflows or is
+    not finite, or when the three paper-form evaluations disagree, as
+    overflow and cancellation make them do at extreme target magnitudes.
     """
     try:
         prof = profile(spec)

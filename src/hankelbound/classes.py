@@ -5,9 +5,9 @@ parameters.  Coefficient extraction expands the defining identity in
 a2, a3, a4 and inverts the (triangular) relations by back-substitution:
 
   starlike   z f'(z)/f(z)                    = 1 + a2 z + (2a3 - a2^2) z^2 + ...
-  convex     1 + z f''(z)/f'(z)              = 1 + 2a2 z + (6a3 - 4a2^2) z^2 + ...
   rgt        1 + (f'(z) + g z f''(z) - 1)/tau
   galpha     (1-a) f'(z) + a (1 + z f''(z)/f'(z))
+  convex     1 + z f''(z)/f'(z): galpha at a = 1, computed so (``ClassSpec.blend``)
 
 The closed forms in ``coefficient_arrays`` vectorise over numpy arrays; the
 series route in ``coefficients_from_schwarz`` recomputes the same values by
@@ -60,15 +60,18 @@ class ClassSpec:
             object.__setattr__(self, "tau", tau)
 
     @property
+    def blend(self) -> float | None:
+        """The galpha weight a: alpha for galpha, 1.0 for convex (galpha at a = 1)."""
+        return 1.0 if self.kind == "convex" else self.alpha
+
+    @property
     def p(self) -> float | None:
-        """Derived weight constant; defined for the rgt and galpha kinds."""
+        """Derived weight constant; defined for rgt and galpha, convex as galpha at alpha = 1."""
         if self.kind == "rgt":
             g = self.gamma
             return (8.0 / 9.0) * (1 + g) * (1 + 3 * g) / (1 + 2 * g) ** 2
-        if self.kind == "galpha":
-            a = self.alpha
-            return (8.0 / 9.0) * (1 + 2 * a) / (1 + a)
-        return None
+        a = self.blend
+        return None if a is None else (8.0 / 9.0) * (1 + 2 * a) / (1 + a)
 
     def describe(self) -> str:
         params = ", ".join(f"{name}={getattr(self, name):g}" for name in CLASS_PARAMS[self.kind])
@@ -127,17 +130,13 @@ def _invert_relations(spec: ClassSpec, t1, t2, t3):
         a2 = t1
         a3 = 0.5 * (t2 + a2 * a2)
         a4 = (t3 + 3.0 * a2 * a3 - a2 * a2 * a2) / 3.0
-    elif spec.kind == "convex":
-        a2 = 0.5 * t1
-        a3 = (t2 + 4.0 * a2 * a2) / 6.0
-        a4 = (t3 + 18.0 * a2 * a3 - 8.0 * a2 * a2 * a2) / 12.0
     elif spec.kind == "rgt":
         g, tau = spec.gamma, spec.tau
         a2 = tau * t1 / (2.0 * (1 + g))
         a3 = tau * t2 / (3.0 * (1 + 2 * g))
         a4 = tau * t3 / (4.0 * (1 + 3 * g))
-    else:  # galpha
-        a = spec.alpha
+    else:  # galpha, convex as its a = 1
+        a = spec.blend
         a2 = 0.5 * t1
         a3 = (t2 + 4.0 * a * a2 * a2) / (3.0 * (1 + a))
         a4 = (t3 + 18.0 * a * a2 * a3 - 8.0 * a * a2 * a2 * a2) / (4.0 * (1 + 2 * a))

@@ -172,4 +172,11 @@ def load_phi_file(path) -> PhiCoefficients:
     missing = [k for k in ("B1", "B2", "B3") if k not in data]
     if missing:
         raise ValueError(f"phi config {path} is missing keys: {', '.join(missing)}")
-    return custom(data["B1"], data["B2"], data["B3"], str(data.get("label", "custom")))
+    # a JSON number loads as int or float; bool is an int subclass but true/false are not numbers
+    for key in ("B1", "B2", "B3"):
+        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+            raise ValueError(f"phi config {path}: {key} must be a JSON number, got {data[key]!r}")
+    label = data.get("label", "custom")
+    if not isinstance(label, str):
+        raise ValueError(f"phi config {path}: label must be a string, got {label!r}")
+    return custom(data["B1"], data["B2"], data["B3"], label)

@@ -195,6 +195,23 @@ class TestSecondHankelBound:
             0.125, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "phi, value, branch",
+        [
+            # B1^2/36 with B1 = 1/2
+            (hb.preset("lemniscate"), 1 / 144, CASE_R),
+            # (-B1^4 + B1^2 |B2| + 6 B1 |B3| - 4 B2^2)/144
+            (hb.custom(1, 0, 1), 5 / 144, CASE_ENDPOINT),
+            (hb.preset("halfplane"), 1 / 8, CASE_VERTEX),
+        ],
+        ids=["lemniscate", "custom_1_0_1", "halfplane"],
+    )
+    def test_convex_theorem_per_branch(self, phi, value, branch):
+        r = hb.second_hankel_bound(hb.convex(phi))
+        assert r.branch == branch
+        assert r.closed_form_value == pytest.approx(value, rel=1e-12)
+        assert r.bound == pytest.approx(value, rel=1e-12)
+
     def test_tau_modulus_scaling(self):
         phi = hb.preset("halfplane")
         base = hb.second_hankel_bound(hb.r_gamma_tau(phi, 0.5, 1 + 0j)).bound

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -89,6 +90,16 @@ class TestClassSpec:
             p = hb.g_alpha(hb.preset("halfplane"), a).p
             assert 8 / 9 - 1e-12 <= p <= 4 / 3 + 1e-12
         assert hb.starlike(hb.preset("halfplane")).p is None
+        assert hb.convex(hb.preset("halfplane")).p == hb.g_alpha(hb.preset("halfplane"), 1.0).p
+
+    def test_convex_surface_unchanged(self):
+        # convex is computed as galpha at alpha = 1 but stores no alpha
+        spec = hb.convex(hb.preset("halfplane"))
+        assert spec.alpha is None
+        assert spec.blend == 1.0
+        assert spec.describe() == "convex"
+        moved = dataclasses.replace(spec, phi=hb.preset("lemniscate"))
+        assert (moved.kind, moved.alpha, moved.phi) == ("convex", None, hb.preset("lemniscate"))
 
 
 class TestCoefficientsFromC:

@@ -119,6 +119,11 @@ class TestBoundCommand:
         assert payload["bound"] == pytest.approx(1.0)
         assert payload["phi"]["label"] == "hp"
 
+    def test_convex_class_block(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--class", "convex", "--preset", "halfplane", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["class"] == {"kind": "convex"}
+
     def test_galpha_needs_alpha_g(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--class", "galpha", "--preset", "halfplane")
         assert code == 2
@@ -495,6 +500,8 @@ SWEEP_HEAD = ["sweep", "--start", "0", "--stop", "0.5", "--step", "0.25"]
          "rgt needs a finite nonzero tau, got (inf+0j)"),
         (["bound", "--class", "rgt", "--tau=1+infi", "--preset", "halfplane"],
          "rgt needs a finite nonzero tau, got (1+infj)"),
+        (["bound", "--preset", "halfplane", "--class", "convex", "--alpha-g", "1"],
+         "--class convex does not take --alpha-g"),
     ],
 )
 def test_stray_class_flag_is_refused(capsys, argv, message):

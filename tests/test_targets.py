@@ -223,6 +223,29 @@ class TestPhiFile:
         path.write_text(json.dumps({"B1": 1, "B2": 0, "B3": 0}))
         assert load_phi_file(path).label == "custom"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"B1": True, "B2": 0, "B3": 0},
+            {"B1": 1, "B2": False, "B3": 0},
+            {"B1": "2", "B2": 0, "B3": 0},
+            {"B1": 1, "B2": 0, "B3": None},
+            {"B1": 1, "B2": [0], "B3": 0},
+        ],
+    )
+    def test_non_number_value_refused(self, tmp_path, data):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="must be a JSON number"):
+            load_phi_file(path)
+
+    @pytest.mark.parametrize("label", [1, None, ["mine"], {"x": 1}])
+    def test_non_string_label_refused(self, tmp_path, label):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"B1": 1, "B2": 0, "B3": 0, "label": label}))
+        with pytest.raises(ValueError, match="label must be a string"):
+            load_phi_file(path)
+
 
 def test_phi_to_series_pads_with_zeros():
     s = phi_to_series(hb.custom(1, 0, 0), order=5)

@@ -38,7 +38,7 @@ class PhiCoefficients:
             raw = getattr(self, name)
             try:
                 value = float(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name} must be a real number, got {raw!r}") from exc
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

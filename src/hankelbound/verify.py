@@ -23,12 +23,12 @@ so it checks the bound independently.
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
 random points: |c2| and |c3| stay at most 2.  Its points are drawn block by
 block from one generator, ``_BLOCK`` at a time, so its memory is O(block)
-whatever the sample count.  Work is capped: at most
-``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` of them per c, and
-``MAX_SAMPLES`` samples, refused with a ``ValueError`` before anything is
-built.  numpy is imported by the functions that use it, not by this module,
-so ``import hankelbound`` and the ``bound``, ``series`` and ``sweep``
-commands run without it.
+whatever the sample count, and its disk points come by rejection from the
+square.  Work is capped: at most ``MAX_GRID_POINTS`` grid points,
+``MAX_SLICE_POINTS`` of them per c, and ``MAX_SAMPLES`` samples, refused
+with a ``ValueError`` before anything is built.  numpy is imported by the
+functions that use it, not by this module, so ``import hankelbound`` and the
+``bound``, ``series`` and ``sweep`` commands run without it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ MAX_GRID_POINTS = 2**24
 # memory follows the x points of one c, about 280 B each: 2^16 is about 18 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
-# 4,096 complex values are 64 KB, under glibc's default 128 KB mmap threshold
+# a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
 _BLOCK = 4096
+# boundary configurations known to reach |c2| = |c3| = 2, as (c, x, z)
+_RIDE_ALONG = ((2.0, 0.0), (0.25 + 0.5j, 1.0 + 0j), (0.5j, -1.0 + 0j))
 
 
 @dataclass(frozen=True)
@@ -204,24 +206,23 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
 
 
 def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` points uniform on the unit disk, all radii drawn before the angles."""
+    """``count`` points uniform on the closed unit disk, by rejection from [-1, 1]^2."""
     import numpy as np
-    radius = np.sqrt(rng.uniform(0.0, 1.0, count))
-    angle = rng.uniform(0.0, 2.0 * np.pi, count)
-    # radius (cos + i sin), written in place: cheaper than radius * exp(i angle)
-    samples = np.empty(count, dtype=complex)
-    np.multiply(radius, np.cos(angle), out=samples.real)
-    np.multiply(radius, np.sin(angle), out=samples.imag)
-    return samples
+    points = np.empty(0, dtype=complex)
+    while (need := count - len(points)) > 0:
+        # the disk is pi/4 of the square, so 4/3 of need almost always suffices
+        square = (2.0 * rng.random(2 * (need + need // 3 + 16)) - 1.0).view(complex)
+        points = np.concatenate((points, square[np.abs(square) <= 1.0][:need]))
+    return points
 
 
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
-    """Max |c2| and |c3| over random parameter points; both must stay <= 2.
+    """Max |c2| and |c3| over random points and ``_RIDE_ALONG``; both must stay <= 2.
 
     The points are drawn from one ``default_rng(seed)``, ``_BLOCK`` at a time
-    (c, then the x disk, then the z disk), so memory stays O(block) and every
-    temporary stays below the allocator's mmap threshold.  ``samples`` is at
-    most ``MAX_SAMPLES``.
+    (c, then the x and z disks by ``_disk_samples``), so memory stays O(block)
+    and every temporary stays below the allocator's mmap threshold.
+    ``samples`` is at most ``MAX_SAMPLES``.
     """
     import numpy as np
     if samples < 1:
@@ -231,10 +232,8 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
     rng = np.random.default_rng(seed)
     counts = (min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK))
     blocks = ((rng.uniform(0.0, 2.0, n), _disk_samples(rng, n), _disk_samples(rng, n)) for n in counts)
-    # boundary configurations known to reach |c2| = |c3| = 2 ride along
-    ride_along = (np.array([2.0, 0.0]), np.array([0.25 + 0.5j, 1.0 + 0j]), np.array([0.5j, -1.0 + 0j]))
     max_c2 = max_c3 = 0.0
-    for c, x, z in itertools.chain(blocks, [ride_along]):
+    for c, x, z in itertools.chain(blocks, [map(np.array, _RIDE_ALONG)]):
         _, c2, c3 = expand_arrays(c, x, z)
         max_c2 = max(max_c2, float(np.max(np.abs(c2))))
         max_c3 = max(max_c3, float(np.max(np.abs(c3))))

@@ -8,6 +8,7 @@ import pytest
 
 import hankelbound as hb
 from hankelbound import targets
+from hankelbound.cli import main
 from hankelbound.targets import load_phi_file, phi_to_series, preset_series
 
 
@@ -149,6 +150,10 @@ class TestCustom:
         with pytest.raises(ValueError):
             hb.custom(math.inf, 0, 0)
 
+    def test_rejects_int_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="b1 must be a real number"):
+            hb.custom(10**400, 0, 0)
+
 
 class TestPresetValidation:
     def test_unknown_name(self):
@@ -238,6 +243,14 @@ class TestPhiFile:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="must be a JSON number"):
             load_phi_file(path)
+
+    def test_int_too_large_for_a_float_refused(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        path.write_text('{"B1": 1' + "0" * 400 + ', "B2": 0, "B3": 0}')
+        with pytest.raises(ValueError, match="b1 must be a real number"):
+            load_phi_file(path)
+        assert main(["bound", "--phi-file", str(path)]) == 2
+        assert "b1 must be a real number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", [1, None, ["mine"], {"x": 1}])
     def test_non_string_label_refused(self, tmp_path, label):

@@ -5,7 +5,14 @@ import pytest
 
 import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
-from hankelbound.verify import MAX_GRID_POINTS, MAX_SAMPLES, _maximising_z, expand_arrays
+from hankelbound.verify import (
+    _RIDE_ALONG,
+    MAX_GRID_POINTS,
+    MAX_SAMPLES,
+    _disk_samples,
+    _maximising_z,
+    expand_arrays,
+)
 
 from conftest import (
     class_catalogue,
@@ -91,19 +98,23 @@ class TestCaratheodoryBounds:
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
     def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
-        # the oracle: per block of at most 4,096, c, then x, then z drawn from
-        # one generator in whole arrays; one block is the whole sample
+        # the oracle: per block of at most 4,096, c, then the x rounds, then
+        # the z rounds, from one generator; each disk is drawn by rejection
+        # from [-1, 1]^2 in rounds of 2 (need + need // 3 + 16) doubles
+        def disk(rng, n):
+            kept = []
+            while len(kept) < n:
+                need = n - len(kept)
+                square = 2.0 * rng.random(2 * (need + need // 3 + 16)) - 1.0
+                points = square[0::2] + 1j * square[1::2]
+                kept.extend(points[np.abs(points) <= 1.0][:need])
+            return np.array(kept)
+
         rng = np.random.default_rng(seed)
         oracle = []
         for start in range(0, samples, 4096):
             n = min(4096, samples - start)
-            c = rng.uniform(0.0, 2.0, n)
-            disks = []
-            for _ in range(2):
-                radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-                angle = rng.uniform(0.0, 2.0 * np.pi, n)
-                disks.append((radius * np.cos(angle), radius * np.sin(angle)))
-            oracle.append((c, *disks))
+            oracle.append((rng.uniform(0.0, 2.0, n), disk(rng, n), disk(rng, n)))
         seen = []
 
         def spy(c, x, z):
@@ -115,11 +126,9 @@ class TestCaratheodoryBounds:
         blocks, ride_along = seen[:-1], seen[-1]
         assert np.array_equal(ride_along[0], [2.0, 0.0])
         assert len(blocks) == len(oracle)
-        for (block_c, block_x, block_z), (c, *disks) in zip(blocks, oracle):
-            assert np.array_equal(block_c, c)
-            for streamed, (real, imag) in zip((block_x, block_z), disks):
-                assert np.array_equal(streamed.real, real)
-                assert np.array_equal(streamed.imag, imag)
+        for block, expected in zip(blocks, oracle):
+            for streamed, drawn in zip(block, expected):
+                assert np.array_equal(streamed, drawn)
 
     @pytest.mark.parametrize("seed", [0, 1729])
     def test_draws_detect_a_faulty_expansion(self, monkeypatch, seed):
@@ -130,10 +139,44 @@ class TestCaratheodoryBounds:
             c3 = 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x + 2.0 * s * z)
             return c + 0j, 0.5 * (c * c + x * s), c3
 
+        _, c2, c3 = faulty_expand(*(np.array(v) for v in _RIDE_ALONG))
+        assert (np.max(np.abs(c2)), np.max(np.abs(c3))) == (2.0, 2.0)
         monkeypatch.setattr("hankelbound.verify.expand_arrays", faulty_expand)
-        assert hb.check_caratheodory_bounds(2, seed) == (2.0, 2.0)
         _, max_c3 = hb.check_caratheodory_bounds(100_000, seed)
         assert max_c3 > 3
+
+    def test_short_round_is_topped_up(self):
+        # a first round of zeros maps to -1 - 1i, outside the disk, so every
+        # point comes from the second round
+        class FirstRoundOutside:
+            def __init__(self):
+                self.sizes = []
+                self.rng = np.random.default_rng(5)
+
+            def random(self, size):
+                self.sizes.append(size)
+                return np.zeros(size) if len(self.sizes) == 1 else self.rng.random(size)
+
+        stub = FirstRoundOutside()
+        points = _disk_samples(stub, 1000)
+        assert len(points) == 1000
+        assert np.all(np.abs(points) <= 1.0)
+        assert stub.sizes == [2 * (1000 + 333 + 16)] * 2
+
+    @pytest.mark.parametrize("seed", [0, 1729])
+    def test_disk_points_are_uniform(self, seed):
+        # E|p|^2 = 1/2, E p = 0 and a quarter in each quadrant; each limit is
+        # more than 5 sd out at 100,000 points, and a missing 2u - 1 map
+        # would put every point in the first quadrant
+        points = _disk_samples(np.random.default_rng(seed), 100_000)
+        assert len(points) == 100_000
+        assert np.all(np.abs(points) <= 1.0)
+        assert abs(np.mean(np.abs(points) ** 2) - 0.5) <= 0.005
+        assert abs(np.mean(points)) < 0.01
+        for re_sign in (1, -1):
+            for im_sign in (1, -1):
+                share = np.mean((re_sign * points.real > 0) & (im_sign * points.imag > 0))
+                assert abs(share - 0.25) <= 0.01
 
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()

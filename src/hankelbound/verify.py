@@ -16,6 +16,18 @@ concentric rings including |x| = 1, where the extremal configurations live.
 The grid works from the class coefficients alone, never from (T, d1..d4),
 so it checks the bound independently.
 
+Only the upper half of the x disk is evaluated.  The premise is that the
+target's B1, B2, B3 are real, as ``PhiCoefficients`` enforces (the Ma-Minda
+phi is symmetric about the real axis), and that every class parameter
+other than rgt's tau is real.  Then conjugating x and z conjugates c2 and
+c3 (c is real), hence a2, a3 and a4 once rgt's common factor tau is taken
+out, so |a2 a4 - a3^2| (which carries |tau|^2 for rgt) at (c, conj x,
+conj z) equals its value at (c, x, z) for every class.  Each c is evaluated
+at the single point x = 0 and at the angles k = 0..n_theta//2 of rings
+1..n_r-1, that is 1 + (n_r - 1)(n_theta//2 + 1) points (1,024 on the
+default grid against 2,048 of the full circle); every other grid point is
+the mirror of one of these.
+
 ``majorant_surface`` is the other side: the triangle majorant in
 (c, mu = |x|) that the certified value is maximised through, and
 ``check_mu_monotone`` checks that it peaks at mu = 1.
@@ -34,6 +46,7 @@ functions that use it, not by this module, so ``import hankelbound`` and the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bounds import majorant_weights, profile, second_hankel_bound
@@ -44,7 +57,8 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
-# memory follows the x points of one c, about 280 B each: 2^16 is about 18 MB
+# memory follows the x points of one c, about 280 B each; a c evaluates about
+# half of its n_r * n_theta points (the mirror half), so 2^16 is about 9 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
@@ -110,23 +124,24 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
 
     ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], rings of the
     x disk, and angles on each ring, at most ``MAX_GRID_POINTS`` in all and
-    ``MAX_SLICE_POINTS`` (n_r * n_theta) per c.
-    z is not sampled: at each (c, x) the maximum over |z| <= 1 is taken
-    exactly, and ``argmax.z`` is its maximiser.
+    ``MAX_SLICE_POINTS`` (n_r * n_theta) per c.  Since |a2 a4 - a3^2| is
+    symmetric under (x, z) -> (conj x, conj z) for real B1, B2, B3 (module
+    docstring), each c evaluates only x = 0 and the angles k = 0..n_theta//2
+    of rings 1..n_r-1: 1 + (n_r - 1)(n_theta//2 + 1) points, each equal to
+    a point of the full grid, and ``argmax.x`` has a non-negative imaginary
+    part.  z is not sampled: at each (c, x) the maximum over |z| <= 1 is
+    taken exactly, and ``argmax.z`` is its maximiser.
     """
     import numpy as np
-    n_c, n_r, n_t = (int(v) for v in grid)
-    if min(n_c, n_r, n_t) < _MIN_GRID:
-        raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
-    if n_c * n_r * n_t > MAX_GRID_POINTS:
-        raise ValueError(f"grid too large: n_c * n_r * n_theta must be at most {MAX_GRID_POINTS}")
+    n_c, n_r, n_t = _grid_sizes(grid, "n_c * n_r * n_theta")
     if n_r * n_t > MAX_SLICE_POINTS:
         raise ValueError(f"grid too large: n_r * n_theta must be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
     radii = np.linspace(0.0, 1.0, n_r)
-    angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
-    x_points = (radii[:, None] * angles[None, :]).ravel()
+    # the full circle's angles, cut to the upper half: k > n_t // 2 mirrors n_t - k
+    angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)[: n_t // 2 + 1]
+    x_points = np.concatenate(([0j], (radii[1:, None] * angles[None, :]).ravel()))
     z_ends = np.array([[0.0], [1.0]])
 
     best_value = -1.0
@@ -155,6 +170,17 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         grid_sizes=(n_c, n_r, n_t),
         monotonicity_violations=violations,
     )
+
+
+def _grid_sizes(grid, product: str) -> tuple[int, ...]:
+    """``grid`` as ints, refused unless every axis has at least ``_MIN_GRID``
+    points and their ``product`` is at most ``MAX_GRID_POINTS``."""
+    sizes = tuple(int(v) for v in grid)
+    if min(sizes) < _MIN_GRID:
+        raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
+    if math.prod(sizes) > MAX_GRID_POINTS:
+        raise ValueError(f"grid too large: {product} must be at most {MAX_GRID_POINTS}")
+    return sizes
 
 
 def _maximising_z(h0: complex, hz: complex) -> complex:
@@ -194,9 +220,11 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
 
     At c = 2 the surface is constant in mu (every 4 - c^2 factor vanishes),
     which is not a violation; the comparison is non-strict with a tiny slack.
+    ``grid`` is (n_c, n_mu), each at least ``_MIN_GRID`` and at most
+    ``MAX_GRID_POINTS`` in all, refused with a ``ValueError`` otherwise.
     """
     import numpy as np
-    n_c, n_mu = (int(v) for v in grid)
+    n_c, n_mu = _grid_sizes(grid, "n_c * n_mu")
     c = np.linspace(0.0, 2.0, n_c)[:, None]
     mu = np.linspace(0.0, 1.0, n_mu)[None, :]
     surface = majorant_surface(spec, c, mu)

@@ -7,6 +7,7 @@ import hankelbound as hb
 from hankelbound.classes import coefficient_arrays
 from hankelbound.verify import (
     _RIDE_ALONG,
+    DEFAULT_GRID,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
     _disk_samples,
@@ -309,6 +310,59 @@ class TestExactInZ:
             assert sup == pytest.approx(sampled, rel=1e-6)
 
 
+class TestMirrorHalf:
+    """The verifier evaluates x = 0 and the upper half of every ring; the
+    lower half mirrors it, since |a2 a4 - a3^2| is unchanged by
+    (x, z) -> (conj x, conj z) when B1, B2, B3 are real."""
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_functional_is_symmetric_under_conjugation(self, kind, rng):
+        # the premise; rgt draws a complex tau, and a complex target or class
+        # parameter that broke the symmetry would fail here
+        for _ in range(40):
+            spec = random_spec(rng, kind)
+            c = rng.uniform(0, 2, 64)
+            x = np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+            z = np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+            values = []
+            for xs, zs in ((x, z), (np.conj(x), np.conj(z))):
+                a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, xs, zs))
+                values.append(np.abs(a2 * a4 - a3 * a3))
+            np.testing.assert_allclose(values[1], values[0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("grid", [(16, 8, 16), (8, 8, 9), (32, 16, 32)])
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_sup_matches_full_circle(self, kind, grid, rng):
+        n_c, n_r, n_t = grid
+        angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+        x = (np.linspace(0.0, 1.0, n_r)[:, None] * angles[None, :]).ravel()
+        for _ in range(4):
+            spec = random_spec(rng, kind)
+            full = 0.0
+            for c in np.linspace(0.0, 2.0, n_c):
+                h0, hz = _affine_parts(spec, float(c), x)
+                full = max(full, float(np.max(np.abs(h0) + np.abs(hz))))
+            report = hb.empirical_sup(spec, grid=grid)
+            assert report.empirical_sup <= full
+            assert report.empirical_sup == pytest.approx(full, rel=1e-14, abs=0)
+            assert report.argmax.x.imag >= 0
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, (8, 8, 9), (16, 8, 16)])
+    def test_points_per_c(self, monkeypatch, grid):
+        sizes = []
+
+        def spy(spec, c1, c2, c3):
+            sizes.append(np.shape(c2))
+            return coefficient_arrays(spec, c1, c2, c3)
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", spy)
+        n_c, n_r, n_t = grid
+        hb.empirical_sup(hb.starlike(hb.preset("lemniscate")), grid=grid)
+        assert sizes == [(1 + (n_r - 1) * (n_t // 2 + 1),)] * n_c
+        if grid == DEFAULT_GRID:
+            assert sizes[0] == (1024,)
+
+
 class TestMuMonotone:
     @pytest.mark.parametrize("kind", hb.classes.KINDS)
     def test_presets_have_no_violations(self, kind):
@@ -320,6 +374,24 @@ class TestMuMonotone:
         for _ in range(25):
             for spec in class_catalogue(random_phi(rng)):
                 assert hb.check_mu_monotone(spec) == 0
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [((0, 0), "too small"), ((1, 1), "too small"), ((8, 7), "too small"), ((-3, 5), "too small"),
+         ((2**13, 2**12), "too large")],
+    )
+    def test_grid_refused_before_any_array(self, monkeypatch, grid, message):
+        # a surface built past the size check fails the test instead of
+        # allocating 2^25 points
+        def never(*args):
+            raise AssertionError("majorant surface built for a refused grid")
+
+        monkeypatch.setattr("hankelbound.verify.majorant_surface", never)
+        with pytest.raises(ValueError, match=f"grid {message}"):
+            hb.check_mu_monotone(hb.starlike(hb.preset("halfplane")), grid)
+
+    def test_smallest_grid_accepted(self):
+        assert hb.check_mu_monotone(hb.starlike(hb.preset("halfplane")), (8, 8)) == 0
 
 
 class TestMajorantDomination:

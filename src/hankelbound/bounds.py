@@ -128,6 +128,8 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         )
         Q = 4.0 * (b1 * b1 * a * (3 - 2 * p) + 2.0 * ab2 * (1 + a - p) + b1 * (1 + a - 2 * p))
         R = 16.0 * p * b1
+    if T == 0.0:  # B1 > 0 and tau != 0, so only underflow (of |tau|^2 B1^2) gives 0
+        raise ValueError(f"bound of {spec.describe()} underflows at this target's magnitude")
     return QuadraticProfile(P=P, Q=Q, R=R, T=T, d1=d1, d2=d2, d3=d3, d4=d4)
 
 

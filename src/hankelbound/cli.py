@@ -60,6 +60,18 @@ def _parse_grid(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse ``type`` whose ValueError message is the one printed."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
 def _add_phi_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--preset", choices=targets.PRESET_NAMES, help="named target")
@@ -76,7 +88,9 @@ def _add_class_arguments(parser: argparse.ArgumentParser) -> None:
         "--class", dest="kind", choices=classes.KINDS, default="starlike", help="function class"
     )
     parser.add_argument("--gamma", type=float, help="gamma in [0,1] for --class rgt")
-    parser.add_argument("--tau", type=parse_complex, help="finite nonzero complex tau for --class rgt, e.g. 2+0i")
+    parser.add_argument(
+        "--tau", type=_flag_type(parse_complex), help="finite nonzero complex tau for --class rgt, e.g. 2+0i"
+    )
     parser.add_argument("--alpha-g", type=float, help="alpha in [0,1] for --class galpha")
 
 
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument(
         "--grid",
-        type=_parse_grid,
+        type=_flag_type(_parse_grid),
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
         help="points along c, rings of the x disk, angles per ring (z is maximised exactly); "

@@ -19,9 +19,10 @@ from .series import TruncatedSeries, WORK_ORDER, compose, div, elementary
 # Leading coefficients below this are rejected rather than extrapolated.
 MIN_B1 = 1e-12
 
-# Series kept per parameterised preset, about 0.6 KB each: a long-lived
-# process stays bounded, and a sweep's few hundred parameters still fit.
-_PRESET_CACHE_SIZE = 1024
+# Preset triples kept, 0.29-0.40 KB each (tracemalloc, Python 3.11), so at
+# most about 1.2 MB.  3 x 1,024 holds a whole benchmark sweep_presets epoch,
+# up to 1,568 distinct presets, which 1,024 entries would evict within.
+_PRESET_CACHE_SIZE = 3 * 1024
 
 
 @dataclass(frozen=True)
@@ -52,63 +53,6 @@ def custom(b1: float, b2: float, b3: float, label: str = "custom") -> PhiCoeffic
     return PhiCoefficients(b1, b2, b3, label)
 
 
-def _triple_from_series(s: TruncatedSeries, label: str) -> PhiCoefficients:
-    if abs(s[0] - 1.0) > 1e-12:
-        raise ValueError(f"target series must have constant term 1, got {s[0]!r}")
-    values = []
-    for k in (1, 2, 3):
-        c = s[k]
-        if abs(c.imag) > 1e-12:
-            raise ValueError(f"target coefficient of z^{k} is not real: {c!r}")
-        values.append(c.real)
-    return PhiCoefficients(values[0], values[1], values[2], label)
-
-
-@lru_cache(maxsize=None)
-def _halfplane_series(order: int) -> TruncatedSeries:
-    z = TruncatedSeries.z(order)
-    return div(1 + z, 1 - z)
-
-
-@lru_cache(maxsize=_PRESET_CACHE_SIZE)
-def _order_alpha_series(alpha: float, order: int) -> TruncatedSeries:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"order_alpha needs alpha in [0, 1), got {alpha}")
-    z = TruncatedSeries.z(order)
-    return div(1 + (1 - 2 * alpha) * z, 1 - z)
-
-
-@lru_cache(maxsize=_PRESET_CACHE_SIZE)
-def _strongly_beta_series(beta: float, order: int) -> TruncatedSeries:
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"strongly_beta needs beta in (0, 1], got {beta}")
-    z = TruncatedSeries.z(order)
-    lp = elementary("log1p", order)
-    log_ratio = lp - compose(lp, -z)  # log((1+z)/(1-z))
-    return compose(elementary("exp", order), beta * log_ratio)
-
-
-@lru_cache(maxsize=None)
-def _lemniscate_series(order: int) -> TruncatedSeries:
-    return elementary("sqrt1p", order)
-
-
-@lru_cache(maxsize=None)
-def _parabolic_series(order: int) -> TruncatedSeries:
-    # The target is 1 + (2/pi^2) L(sqrt(z))^2 with L(u) = log((1+u)/(1-u)).
-    # L is odd, so L(u)^2 is even and the even coefficients form an ordinary
-    # power series in z; no fractional powers ever materialise.
-    u_order = 2 * order
-    u = TruncatedSeries.z(u_order)
-    lp = elementary("log1p", u_order)
-    L = lp - compose(lp, -u)
-    squared = L * L
-    scale = 2.0 / math.pi**2
-    coeffs = [1.0] + [scale * squared[2 * m] for m in range(1, order + 1)]
-    return TruncatedSeries.from_coeffs(coeffs, order)
-
-
-@lru_cache(maxsize=_PRESET_CACHE_SIZE)
 def _janowski_series(a: float, b: float, order: int) -> TruncatedSeries:
     if not (-1.0 <= b < a <= 1.0):
         raise ValueError(f"janowski needs -1 <= B < A <= 1, got A={a}, B={b}")
@@ -116,26 +60,75 @@ def _janowski_series(a: float, b: float, order: int) -> TruncatedSeries:
     return div(1 + a * z, 1 + b * z)
 
 
-# name -> (its cached series builder, the builder's parameters in call order)
+def _order_alpha_series(alpha: float, order: int) -> TruncatedSeries:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"order_alpha needs alpha in [0, 1), got {alpha}")
+    return _janowski_series(1 - 2 * alpha, -1.0, order)
+
+
+def _log_ratio(order: int) -> TruncatedSeries:
+    """L(z) = log((1+z)/(1-z))."""
+    lp = elementary("log1p", order)
+    return lp - compose(lp, -TruncatedSeries.z(order))
+
+
+def _strongly_beta_series(beta: float, order: int) -> TruncatedSeries:
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"strongly_beta needs beta in (0, 1], got {beta}")
+    return compose(elementary("exp", order), beta * _log_ratio(order))
+
+
+def _parabolic_series(order: int) -> TruncatedSeries:
+    # The target is 1 + (2/pi^2) L(sqrt(z))^2.  L is odd, so L(u)^2 is even
+    # and its even coefficients form an ordinary power series in z; no
+    # fractional powers ever materialise.
+    L = _log_ratio(2 * order)
+    squared = L * L
+    scale = 2.0 / math.pi**2
+    coeffs = [1.0] + [scale * squared[2 * m] for m in range(1, order + 1)]
+    return TruncatedSeries.from_coeffs(coeffs, order)
+
+
+# name -> (its series builder, the builder's parameters in call order).  The
+# half-plane and order-alpha targets are the Janowski targets P[1, -1] and
+# P[1 - 2 alpha, -1]; the strongly starlike and parabolic ones share L.
 PRESETS = {
-    "halfplane": (_halfplane_series, ()),
+    "halfplane": (lambda order: _janowski_series(1.0, -1.0, order), ()),
     "order_alpha": (_order_alpha_series, ("alpha",)),
     "strongly_beta": (_strongly_beta_series, ("beta",)),
-    "lemniscate": (_lemniscate_series, ()),
+    "lemniscate": (lambda order: elementary("sqrt1p", order), ()),
     "parabolic": (_parabolic_series, ()),
     "janowski": (_janowski_series, ("a", "b")),
 }
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_series(name: str, order: int = WORK_ORDER, **params: float) -> TruncatedSeries:
-    """Full working series of a named preset target."""
+def _preset_values(name: str, params: dict) -> tuple[float, ...]:
+    """The parameters of preset ``name`` as floats in its builder's call order."""
     if name not in PRESET_NAMES:  # a tuple: an unhashable name is refused, not a TypeError
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    build, names = PRESETS[name]
+    names = PRESETS[name][1]
     if params.keys() != set(names):
         raise ValueError(f"preset {name} takes parameters ({', '.join(names)}), got ({', '.join(params)})")
-    return build(*(float(params[p]) for p in names), order)
+    return tuple(float(params[p]) for p in names)
+
+
+def preset_series(name: str, order: int = WORK_ORDER, **params: float) -> TruncatedSeries:
+    """Full working series of a named preset target, built afresh."""
+    values = _preset_values(name, params)
+    return PRESETS[name][0](*values, order)
+
+
+@lru_cache(maxsize=_PRESET_CACHE_SIZE)
+def _preset_triple(name: str, *values: float) -> tuple[float, float, float]:
+    # B1..B3 are the same bits at order 3 as at WORK_ORDER, at a fraction of the cost
+    s = preset_series(name, 3, **dict(zip(PRESETS[name][1], values)))
+    if abs(s[0] - 1.0) > 1e-12:
+        raise ValueError(f"target series must have constant term 1, got {s[0]!r}")
+    for k in (1, 2, 3):
+        if abs(s[k].imag) > 1e-12:
+            raise ValueError(f"target coefficient of z^{k} is not real: {s[k]!r}")
+    return s[1].real, s[2].real, s[3].real
 
 
 def preset(name: str, **params: float) -> PhiCoefficients:
@@ -146,14 +139,14 @@ def preset(name: str, **params: float) -> PhiCoefficients:
     -1 <= b < a <= 1; the other presets take no parameters.  A missing or
     unexpected parameter raises ``ValueError``.
     """
-    # B1..B3 are the same bits at order 3 as at WORK_ORDER, at a fraction of the cost
-    series = preset_series(name, order=3, **params)
+    b1, b2, b3 = _preset_triple(name, *_preset_values(name, params))
+    # outside the cache: -0.0 and 0.0 are one key but print differently
     if params:
         inner = ",".join(f"{k}={float(v):g}" for k, v in sorted(params.items()))
         label = f"{name}({inner})"
     else:
         label = name
-    return _triple_from_series(series, label)
+    return PhiCoefficients(b1, b2, b3, label)
 
 
 def phi_to_series(phi: PhiCoefficients, order: int = WORK_ORDER) -> TruncatedSeries:

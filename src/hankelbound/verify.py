@@ -63,7 +63,9 @@ MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
 _BLOCK = 4096
-# boundary configurations known to reach |c2| = |c3| = 2, as (c, x, z)
+# Boundary configurations stored column-wise, (c values, x values, z values):
+# the points (c, x, z) = (2, 0.25+0.5i, 0.5i), which gives |c2| = |c3| = 2,
+# and (0, 1, -1), which gives only |c2| = 2.
 _RIDE_ALONG = ((2.0, 0.0), (0.25 + 0.5j, 1.0 + 0j), (0.5j, -1.0 + 0j))
 
 

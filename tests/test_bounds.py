@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import hankelbound as hb
 from hankelbound.bounds import BRANCHES, CASE_ENDPOINT, CASE_R, CASE_VERTEX
 
-from conftest import random_phi, random_spec
+from conftest import DISAGREEING_TARGET, random_phi, random_spec
 
 
 class TestProfile:
@@ -273,6 +274,20 @@ class TestSecondHankelBound:
         with pytest.raises(ValueError, match="overflows") as info:
             hb.second_hankel_bound(spec)
         assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_tau_underflow_is_named(self):
+        # |tau|^2 B1^2 underflows to 0; the class and the cause are named, not "T must be positive"
+        spec = hb.r_gamma_tau(hb.custom(1, 1, 1), 0.0, 1e-170)
+        with pytest.raises(ValueError, match=re.escape("bound of rgt(gamma=0, tau=1e-170+0j) underflows")):
+            hb.second_hankel_bound(spec)
+        with pytest.raises(ValueError, match="T must be positive"):
+            hb.QuadraticProfile(P=0.0, Q=0.0, R=1.0, T=0.0, d1=4.0, d2=0.0, d3=-4.0, d4=0.0)
+
+    def test_disagreeing_paper_forms_are_a_value_error(self):
+        # at this magnitude the region value overflows while the other two stay finite
+        spec = hb.convex(hb.custom(*DISAGREEING_TARGET))
+        with pytest.raises(ValueError, match="paper-form values of convex disagree"):
+            hb.second_hankel_bound(spec)
 
 
 class TestMajorantConsistency:

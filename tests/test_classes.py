@@ -57,6 +57,11 @@ class TestClassSpec:
         with pytest.raises(ValueError, match="unknown class kind"):
             hb.ClassSpec("spiral", hb.preset("halfplane"))
 
+    @pytest.mark.parametrize("phi", [(2.0, 2.0, 2.0), None])
+    def test_phi_must_be_coefficients(self, phi):
+        with pytest.raises(ValueError, match="phi must be a PhiCoefficients instance"):
+            hb.ClassSpec("starlike", phi)
+
     def test_rgt_requires_nonzero_tau(self):
         for tau in (0, complex("nan"), float("inf"), complex(1, float("inf"))):
             with pytest.raises(ValueError, match="tau"):

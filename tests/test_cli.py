@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hankelbound as hb
 from hankelbound.cli import SWEEP_VARS, build_parser, main, parse_complex
 
-from conftest import verify_against_closed_form
+from conftest import DISAGREEING_TARGET, verify_against_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -670,6 +670,48 @@ class TestFailureContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-170"],
+             "bound of rgt(gamma=0, tau=1e-170+0j) underflows at this target's magnitude"),
+            (["bound", "--class", "convex", "--custom", ",".join(map(repr, DISAGREEING_TARGET))],
+             "paper-form values of convex disagree at this target's magnitude"),
+            (["sweep", "--sweep", "alpha_order", "--start", "nan", "--stop", "1", "--step", "0.1"],
+             "--start, --stop and --step must be finite"),
+            (["sweep", "--sweep", "beta_strong", "--start", "0.1", "--stop", "inf", "--step", "0.1"],
+             "--start, --stop and --step must be finite"),
+            (["sweep", "--sweep", "gamma", "--start", "0", "--stop", "1", "--step", "0.5"],
+             "sweep variable gamma needs a phi source"),
+            (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
+        ],
+        ids=["tiny_tau", "paper_forms_disagree", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list"],
+    )
+    def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
+        list_file = tmp_path / "phi.json"
+        list_file.write_text("[2, 2, 2]")
+        code, out, err = run_cli(capsys, *(arg.format(list_file=list_file) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--preset", "halfplane", "--grid", "8,8"], "argument --grid: expected n_c,n_r,n_theta, got '8,8'"),
+            (["bound", "--class", "rgt", "--preset", "halfplane", "--tau", "abc"],
+             "argument --tau: cannot parse complex number from 'abc'"),
+        ],
+    )
+    def test_flag_refusal_prints_the_parsers_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f"error: {message}\n")
+        assert "invalid" not in err
 
     @pytest.mark.parametrize(
         "work", [["--samples", "1000000000"], ["--grid", "100000,100000,100000"], ["--grid", "8,512,4096"]]

@@ -9,6 +9,7 @@ import pytest
 import hankelbound as hb
 from hankelbound import targets
 from hankelbound.cli import main
+from hankelbound.series import TruncatedSeries, compose, div, elementary
 from hankelbound.targets import load_phi_file, phi_to_series, preset_series
 
 
@@ -186,22 +187,75 @@ class TestPresetValidation:
 
 
 @pytest.mark.parametrize(
-    "name, cache, params",
+    "name, params",
     [
-        ("order_alpha", targets._order_alpha_series, lambda v: {"alpha": v}),
-        ("strongly_beta", targets._strongly_beta_series, lambda v: {"beta": v}),
-        ("janowski", targets._janowski_series, lambda v: {"a": v, "b": -0.5}),
+        pytest.param("order_alpha", lambda v: {"alpha": v}, id="order_alpha"),
+        pytest.param("strongly_beta", lambda v: {"beta": v}, id="strongly_beta"),
+        pytest.param("janowski", lambda v: {"a": v, "b": -0.5}, id="janowski"),
     ],
 )
-def test_preset_caches_are_bounded(name, cache, params):
-    values = np.linspace(0.01, 0.99, 2000)
+def test_preset_caches_are_bounded(name, params):
+    cache = targets._preset_triple
+    values = np.linspace(0.01, 0.99, cache.cache_info().maxsize + 1)
     for value in values:
         hb.preset(name, **params(value))
     info = cache.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    # the most recent parameters are still cached
+    assert info.currsize == info.maxsize
+    # the most recent parameters are still cached, and the first are evicted
     hb.preset(name, **params(values[-1]))
     assert cache.cache_info().hits == info.hits + 1
+    hb.preset(name, **params(values[0]))
+    assert cache.cache_info().misses == info.misses + 1
+
+
+def test_one_cache_serves_every_preset():
+    caches = [v for v in vars(targets).values() if callable(getattr(v, "cache_info", None))]
+    assert caches == [targets._preset_triple]
+
+
+def bits(series):
+    # repr tells -0.0 from 0.0, which == does not
+    return repr(series.coeffs)
+
+
+class TestPresetFamilies:
+    """halfplane and order_alpha are Janowski targets; strongly_beta and
+    parabolic are built on L(z) = log((1+z)/(1-z))."""
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_halfplane_is_janowski_one_minus_one(self, order):
+        series = preset_series("halfplane", order)
+        assert bits(series) == bits(preset_series("janowski", order, a=1.0, b=-1.0))
+        z = TruncatedSeries.z(order)
+        assert bits(series) == bits(div(1 + z, 1 - z))
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_order_alpha_is_janowski(self, order):
+        rng = np.random.default_rng(18)
+        for alpha in [0.0, 0.5, *rng.uniform(0.0, 1.0, 50)]:
+            series = preset_series("order_alpha", order, alpha=alpha)
+            assert bits(series) == bits(preset_series("janowski", order, a=1 - 2 * alpha, b=-1.0)), alpha
+            z = TruncatedSeries.z(order)
+            assert bits(series) == bits(div(1 + (1 - 2 * alpha) * z, 1 - z)), alpha
+            phi, jan = hb.preset("order_alpha", alpha=alpha), hb.preset("janowski", a=1 - 2 * alpha, b=-1.0)
+            assert (phi.b1, phi.b2, phi.b3) == (jan.b1, jan.b2, jan.b3), alpha
+
+    def test_parabolic_squares_the_strongly_beta_log(self):
+        # strongly_beta(1) is exp(L); parabolic reads L^2 at twice the order
+        L = targets._log_ratio(16)
+        assert bits(targets._log_ratio(8)) == bits(L.truncate(8))
+        assert bits(preset_series("strongly_beta", beta=1.0)) == bits(compose(elementary("exp", 8), L.truncate(8)))
+        squared = L * L
+        assert [c.real for c in preset_series("parabolic").coeffs[1:]] == [
+            2.0 / math.pi**2 * squared[2 * m].real for m in range(1, 9)
+        ]
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_label_is_per_call(self, first):
+        # -0.0 and 0.0 share a cache entry but keep their own labels
+        targets._preset_triple.cache_clear()
+        labels = {repr(v): hb.preset("order_alpha", alpha=v).label for v in (first, -first)}
+        assert labels == {"-0.0": "order_alpha(alpha=-0)", "0.0": "order_alpha(alpha=0)"}
 
 
 class TestPhiFile:
@@ -221,6 +275,12 @@ class TestPhiFile:
         path = tmp_path / "phi.json"
         path.write_text("B1 = 1")
         with pytest.raises(ValueError, match="malformed"):
+            load_phi_file(path)
+
+    def test_json_list_refused(self, tmp_path):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps([1.0, 0.5, 0.25]))
+        with pytest.raises(ValueError, match="must be a JSON object"):
             load_phi_file(path)
 
     def test_label_defaults(self, tmp_path):

@@ -267,11 +267,11 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     except OverflowError as exc:
         # float ** raises where * gives inf; both are the same bad target
         raise ValueError(f"bound of {spec.describe()} overflows at this target's magnitude") from exc
+    region = prof.T * branch_value
     # max() in robust_quad_max lets a nan through, so its inputs are checked
     # as well; a sum is inf or nan whenever any of its terms is
-    if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(coeffs) + paper + closed + certified):
+    if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(coeffs) + paper + closed + certified + region):
         raise ValueError(f"bound of {spec.describe()} is not finite at this target's magnitude")
-    region = prof.T * branch_value
     if not (
         math.isclose(region, paper, rel_tol=1e-9, abs_tol=1e-15)
         and math.isclose(closed, region, rel_tol=1e-9, abs_tol=1e-12)

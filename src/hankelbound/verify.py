@@ -16,6 +16,18 @@ concentric rings including |x| = 1, where the extremal configurations live.
 The grid works from the class coefficients alone, never from (T, d1..d4),
 so it checks the bound independently.
 
+Each grid point is evaluated once, at z = 0, and hz comes from the slope of
+a4 in c3.  The premise: ``classes._composed_target_terms`` leaves t1 and t2
+free of c3 and gives t3 = B1 c3 / 2 + (terms in c1, c2), and
+``classes._invert_relations`` leaves a2 and a3 free of t3 and makes a4
+affine in t3 with a coefficient that depends only on the class.  So
+a4 = slope c3 + f(c1, c2), and since c3 moves with z by
+(4 - c^2)(1 - |x|^2) z / 2, hz = a2 slope (4 - c^2)(1 - |x|^2) / 2.  The
+slope is read once per call through ``coefficient_arrays`` (``_a4_slope``),
+never from (T, d1..d4), and the reported maximum is re-evaluated at its
+(c, x, z) through the full expansion, with no affine step; a ValueError is
+raised if the two disagree.
+
 Only the upper half of the x disk is evaluated.  The premise is that the
 target's B1, B2, B3 are real, as ``PhiCoefficients`` enforces (the Ma-Minda
 phi is symmetric about the real axis), and that every class parameter
@@ -57,8 +69,8 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
-# memory follows the x points of one c, about 280 B each; a c evaluates about
-# half of its n_r * n_theta points (the mirror half), so 2^16 is about 9 MB
+# memory follows the x points of one c, about 180 B each; a c evaluates about
+# half of its n_r * n_theta points (the mirror half), so 2^16 is about 6 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
@@ -105,19 +117,36 @@ class VerificationReport:
     monotonicity_violations: int
 
 
+def _expand_at_zero(c, x):
+    """(c1, c2, c3) at z = 0; broadcasts like numpy."""
+    s = 4.0 - c * c
+    return c + 0j, 0.5 * (c * c + x * s), 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x)
+
+
+def _disk_weight(x):
+    """1 - |x|^2, written (1 - |x|)(1 + |x|) so it vanishes exactly on the
+    unit circle whenever |x| is exactly representable."""
+    import numpy as np
+    ax = np.abs(x)
+    return (1.0 - ax) * (1.0 + ax)
+
+
 def expand_arrays(c, x, z):
     """(c1, c2, c3) from grid arrays of c, x, z; broadcasts like numpy.
 
-    The z weight is written (1 - |x|)(1 + |x|) so it vanishes exactly on the
-    unit circle whenever |x| is exactly representable.
+    c3 is its z = 0 value plus the z-term (4 - c^2)(1 - |x|^2) z / 2.
     """
+    c1, c2, c3 = _expand_at_zero(c, x)
+    return c1, c2, c3 + 0.5 * (4.0 - c * c) * _disk_weight(x) * z
+
+
+def _a4_slope(spec: ClassSpec) -> complex:
+    """The c3-slope of a4, read through ``coefficient_arrays`` at c1 = c2 = 0
+    and c3 in {0, 1}; a4 is affine in c3 (module docstring)."""
     import numpy as np
-    s = 4.0 - c * c
-    ax = np.abs(x)
-    c1 = c + 0j
-    c2 = 0.5 * (c * c + x * s)
-    c3 = 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x + 2.0 * s * (1.0 - ax) * (1.0 + ax) * z)
-    return c1, c2, c3
+    zeros = np.zeros(2, dtype=complex)
+    _, _, a4 = coefficient_arrays(spec, zeros, zeros, np.array([0j, 1 + 0j]))
+    return complex(a4[1] - a4[0])
 
 
 def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) -> VerificationReport:
@@ -133,6 +162,13 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     a point of the full grid, and ``argmax.x`` has a non-negative imaginary
     part.  z is not sampled: at each (c, x) the maximum over |z| <= 1 is
     taken exactly, and ``argmax.z`` is its maximiser.
+
+    Each c makes one ``coefficient_arrays`` call, on the z = 0 expansion of
+    its x points; |hz| is |a2 slope| (4 - c^2)/2 (1 - |x|^2), from a4's
+    c3-slope, read once (module docstring).  One more call re-evaluates the
+    reported point through ``expand_arrays``, and a ValueError is raised if
+    it differs from ``empirical_sup`` by more than 1e-12 of
+    |a2 a4| + |a3|^2 there.
     """
     import numpy as np
     n_c, n_r, n_t = _grid_sizes(grid, "n_c * n_r * n_theta")
@@ -144,25 +180,28 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     # the full circle's angles, cut to the upper half: k > n_t // 2 mirrors n_t - k
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)[: n_t // 2 + 1]
     x_points = np.concatenate(([0j], (radii[1:, None] * angles[None, :]).ravel()))
-    z_ends = np.array([[0.0], [1.0]])
+    weight = _disk_weight(x_points)
+    slope = _a4_slope(spec)
 
     best_value = -1.0
     best = (0, 0, 0j, 0j)
     # one c at a time keeps the arrays cache-sized; all c at once is slower
-    for ic, c in enumerate(c_values):
-        # a2 a4 - a3^2 = h0 + hz * z, read off at z = 0 and z = 1
-        a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(float(c), x_points, z_ends))
-        h0, h1 = a2 * a4 - a3 * a3
-        hz = h1 - h0
-        values = np.abs(h0) + np.abs(hz)
+    for ic, c in enumerate(c_values.tolist()):
+        a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x_points))
+        # a2 a4 - a3^2 = h0 + hz z, hz = hz_unit (1 - |x|^2); a2 may be an array or a scalar
+        h0 = a2 * a4 - a3 * a3
+        hz_unit = a2 * slope * (0.5 * (4.0 - c * c))
+        values = np.abs(h0) + np.abs(hz_unit) * weight
         ix = int(np.argmax(values))
         if values[ix] > best_value:
             best_value = float(values[ix])
-            best = (ic, ix, complex(h0[ix]), complex(hz[ix]))
+            hz = complex(np.broadcast_to(hz_unit, weight.shape)[ix]) * float(weight[ix])
+            best = (ic, ix, complex(h0[ix]), hz)
     ic, ix, h0_best, hz_best = best
     argmax = CaratheodoryPoint(
         c=float(c_values[ic]), x=complex(x_points[ix]), z=_maximising_z(h0_best, hz_best)
     )
+    _check_affine_step(spec, argmax, best_value)
     violations = check_mu_monotone(spec)
     return VerificationReport(
         empirical_sup=best_value,
@@ -172,6 +211,18 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         grid_sizes=(n_c, n_r, n_t),
         monotonicity_violations=violations,
     )
+
+
+def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) -> None:
+    """Raise a ValueError unless |a2 a4 - a3^2| at ``point``, through the full
+    expansion with no affine step, is ``value`` to 1e-12 of its terms' size."""
+    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(point.c, point.x, point.z))
+    direct = abs(a2 * a4 - a3 * a3)
+    if not abs(direct - value) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2):
+        raise ValueError(
+            f"grid value {value!r} of {spec.describe()} at c={point.c!r}, x={point.x!r}, z={point.z!r} "
+            f"is {direct!r} when evaluated directly: a4 is not affine in c3"
+        )
 
 
 def _grid_sizes(grid, product: str) -> tuple[int, ...]:

@@ -9,9 +9,9 @@ import hankelbound as hb
 # every bound pipeline (asserted in test_bounds).
 B1_RANGE = (0.05, 3.0)
 B23_RANGE = (-3.0, 3.0)
-# A convex target whose three paper-form evaluations disagree: overflow and
-# cancellation at this magnitude (found by fuzzing extreme custom triples).
-DISAGREEING_TARGET = (7.024420704439291e76, 9.291075771377085e146, 3.2788518613428783e181)
+# A convex target whose region value T * max(P t^2 + Q t + R) overflows while
+# the other paper-form values stay finite (found by fuzzing extreme custom triples).
+REGION_OVERFLOW_TARGET = (7.024420704439291e76, 9.291075771377085e146, 3.2788518613428783e181)
 
 
 def random_phi(rng: np.random.Generator) -> hb.PhiCoefficients:

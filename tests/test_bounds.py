@@ -8,7 +8,7 @@ import pytest
 import hankelbound as hb
 from hankelbound.bounds import BRANCHES, CASE_ENDPOINT, CASE_R, CASE_VERTEX
 
-from conftest import DISAGREEING_TARGET, random_phi, random_spec
+from conftest import REGION_OVERFLOW_TARGET, random_phi, random_spec
 
 
 class TestProfile:
@@ -283,11 +283,18 @@ class TestSecondHankelBound:
         with pytest.raises(ValueError, match="T must be positive"):
             hb.QuadraticProfile(P=0.0, Q=0.0, R=1.0, T=0.0, d1=4.0, d2=0.0, d3=-4.0, d4=0.0)
 
-    def test_disagreeing_paper_forms_are_a_value_error(self):
+    def test_region_overflow_is_not_finite(self):
         # at this magnitude the region value overflows while the other two stay finite
-        spec = hb.convex(hb.custom(*DISAGREEING_TARGET))
-        with pytest.raises(ValueError, match="paper-form values of convex disagree"):
+        spec = hb.convex(hb.custom(*REGION_OVERFLOW_TARGET))
+        with pytest.raises(ValueError, match=re.escape("bound of convex is not finite at this target's magnitude")):
             hb.second_hankel_bound(spec)
+
+    def test_disagreeing_paper_forms_are_a_value_error(self, monkeypatch):
+        # the closed form off by 1e-6 relative, past the 1e-9 agreement tolerance
+        closed_form = hb.bounds._closed_form
+        monkeypatch.setattr("hankelbound.bounds._closed_form", lambda *args: closed_form(*args) * (1 + 1e-6))
+        with pytest.raises(ValueError, match="paper-form values of convex disagree"):
+            hb.second_hankel_bound(hb.convex(hb.preset("lemniscate")))
 
 
 class TestMajorantConsistency:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hankelbound as hb
 from hankelbound.cli import SWEEP_VARS, build_parser, main, parse_complex
 
-from conftest import DISAGREEING_TARGET, verify_against_closed_form
+from conftest import REGION_OVERFLOW_TARGET, verify_against_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -676,8 +676,8 @@ class TestFailureContract:
         [
             (["bound", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-170"],
              "bound of rgt(gamma=0, tau=1e-170+0j) underflows at this target's magnitude"),
-            (["bound", "--class", "convex", "--custom", ",".join(map(repr, DISAGREEING_TARGET))],
-             "paper-form values of convex disagree at this target's magnitude"),
+            (["bound", "--class", "convex", "--custom", ",".join(map(repr, REGION_OVERFLOW_TARGET))],
+             "bound of convex is not finite at this target's magnitude"),
             (["sweep", "--sweep", "alpha_order", "--start", "nan", "--stop", "1", "--step", "0.1"],
              "--start, --stop and --step must be finite"),
             (["sweep", "--sweep", "beta_strong", "--start", "0.1", "--stop", "inf", "--step", "0.1"],
@@ -686,7 +686,7 @@ class TestFailureContract:
              "sweep variable gamma needs a phi source"),
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
         ],
-        ids=["tiny_tau", "paper_forms_disagree", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list"],
+        ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
         list_file = tmp_path / "phi.json"

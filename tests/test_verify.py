@@ -10,6 +10,7 @@ from hankelbound.verify import (
     DEFAULT_GRID,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
+    _a4_slope,
     _disk_samples,
     _maximising_z,
     expand_arrays,
@@ -98,7 +99,7 @@ class TestCaratheodoryBounds:
 
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
-    def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
+    def test_streamed_draws_are_the_rejection_round_draws(self, monkeypatch, samples, seed):
         # the oracle: per block of at most 4,096, c, then the x rounds, then
         # the z rounds, from one generator; each disk is drawn by rejection
         # from [-1, 1]^2 in rounds of 2 (need + need // 3 + 16) doubles
@@ -349,18 +350,85 @@ class TestMirrorHalf:
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, (8, 8, 9), (16, 8, 16)])
     def test_points_per_c(self, monkeypatch, grid):
-        sizes = []
+        # the slope read, one (n,) row per c with no (2, n) z rows, then the
+        # guard's one scalar point
+        shapes = []
 
         def spy(spec, c1, c2, c3):
-            sizes.append(np.shape(c2))
+            shapes.append((np.shape(c1), np.shape(c2), np.shape(c3)))
             return coefficient_arrays(spec, c1, c2, c3)
 
         monkeypatch.setattr("hankelbound.verify.coefficient_arrays", spy)
         n_c, n_r, n_t = grid
+        n = 1 + (n_r - 1) * (n_t // 2 + 1)
         hb.empirical_sup(hb.starlike(hb.preset("lemniscate")), grid=grid)
-        assert sizes == [(1 + (n_r - 1) * (n_t // 2 + 1),)] * n_c
+        assert shapes == [((2,), (2,), (2,))] + [((), (n,), (n,))] * n_c + [((), (), ())]
         if grid == DEFAULT_GRID:
-            assert sizes[0] == (1024,)
+            assert n == 1024
+
+
+def _check_a4_affine_in_c3(spec, rng):
+    """At 200 seeded points, moving c3 by d leaves a2 and a3 alone and moves
+    a4 by slope * d, through the coefficient_arrays the verifier uses."""
+    coefficients = hb.verify.coefficient_arrays
+    slope = _a4_slope(spec)
+    c = rng.uniform(0, 2, 200)
+    x = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    z = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    d = 2 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    c1, c2, c3 = expand_arrays(c, x, z)
+    a2, a3, a4 = coefficients(spec, c1, c2, c3)
+    b2, b3, b4 = coefficients(spec, c1, c2, c3 + d)
+    np.testing.assert_allclose(b2, a2, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(b3, a3, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(b4, a4 + slope * d, rtol=1e-13, atol=1e-13 * abs(slope))
+
+
+class TestAffineInC3:
+    """The verifier evaluates each grid point at z = 0 and takes the z-term
+    from a4's c3-slope, which rests on a4 = slope * c3 + f(c1, c2)."""
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_a4_is_affine_in_c3(self, kind, rng):
+        # rgt draws a complex tau
+        for _ in range(10):
+            _check_a4_affine_in_c3(random_spec(rng, kind), rng)
+
+    def test_premise_check_catches_a_c1_dependent_slope(self, monkeypatch, rng):
+        def mutant(spec, c1, c2, c3):
+            a2, a3, a4 = coefficient_arrays(spec, c1, c2, c3)
+            return a2, a3, a4 + 0.1 * c1 * c3
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", mutant)
+        with pytest.raises(AssertionError):
+            _check_a4_affine_in_c3(hb.starlike(hb.preset("halfplane")), rng)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_slope_is_read_without_the_bound_path(self, kind, monkeypatch, rng):
+        # the paper's slopes, for comparison only: B1/6 (starlike),
+        # tau B1 / (8 (1 + 3 gamma)) (rgt), B1 / (8 (1 + 2 a)) (galpha, convex at a = 1)
+        spec = random_spec(rng, kind)
+        b1 = spec.phi.b1
+        if kind == "starlike":
+            expected = b1 / 6
+        elif kind == "rgt":
+            expected = spec.tau * b1 / (8 * (1 + 3 * spec.gamma))
+        else:
+            expected = b1 / (8 * (1 + 2 * spec.blend))
+        for name in ("profile", "majorant_weights", "second_hankel_bound"):
+            monkeypatch.setattr(f"hankelbound.verify.{name}", None)
+        assert _a4_slope(spec) == pytest.approx(expected, rel=1e-15)
+
+    def test_guard_refuses_a4_not_affine_in_c3(self, monkeypatch):
+        # a4 = c3^2 at c = 0 and 0 elsewhere: the slope read at c3 in {0, 1}
+        # gives 1, so the grid's affine value peaks at 2 at (c, x) = (0, 0),
+        # where c3 = 2z and the direct value is 4
+        def quadratic_c3(spec, c1, c2, c3):
+            return np.ones_like(c3), np.zeros_like(c3), c3 * c3 * (c1 == 0)
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", quadratic_c3)
+        with pytest.raises(ValueError, match="a4 is not affine in c3"):
+            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, 8))
 
 
 class TestMuMonotone:

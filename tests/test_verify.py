@@ -99,7 +99,7 @@ class TestCaratheodoryBounds:
 
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
-    def test_streamed_draws_are_the_rejection_round_draws(self, monkeypatch, samples, seed):
+    def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
         # the oracle: per block of at most 4,096, c, then the x rounds, then
         # the z rounds, from one generator; each disk is drawn by rejection
         # from [-1, 1]^2 in rounds of 2 (need + need // 3 + 16) doubles

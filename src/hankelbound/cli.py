@@ -197,6 +197,8 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     phi = _build_phi(args)
     spec = _build_spec(args, phi)
     payload = _bound_payload(bounds.second_hankel_bound(spec))
@@ -310,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_flag_type(_parse_grid),
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
-        help="points along c, rings of the x disk, angles per ring (z is maximised exactly); "
-        f"at most {verify.MAX_GRID_POINTS} points in all and {verify.MAX_SLICE_POINTS} (NR * NT) per c",
+        help="points along c; NR rings x NT angles cross-check the reported c (x and z are maximised exactly); "
+        f"at most {verify.MAX_GRID_POINTS} points in all and {verify.MAX_SLICE_POINTS} (NR * NT) in the rings",
     )
     p_verify.add_argument(
         "--tol",

@@ -1,4 +1,4 @@
-"""Independent brute-force verification of the reported bounds.
+"""Independent verification of the reported bounds.
 
 The coefficients (c1, c2, c3) of every positive-real-part function are
 reachable as
@@ -7,38 +7,36 @@ reachable as
     2 c2 = c^2 + x (4 - c^2)
     4 c3 = c^3 + 2 (4-c^2) c x - c (4-c^2) x^2 + 2 (4-c^2) (1-|x|^2) z
 
-with |x| <= 1 and |z| <= 1, so maximising |a2 a4 - a3^2| over a grid in
-(c, x), and exactly in z, gives a certified lower estimate of the true
-supremum, to be held against the reported bound.  At fixed (c, x) the
-functional is h0 + hz z, affine in z, so its maximum over the z disk is
-|h0| + |hz|, taken where hz z has the phase of h0; x is sampled on
-concentric rings including |x| = 1, where the extremal configurations live.
-The grid works from the class coefficients alone, never from (T, d1..d4),
-so it checks the bound independently.
+with |x| <= 1 and |z| <= 1, so maximising |a2 a4 - a3^2| over a grid in c,
+exactly in x and z, gives a certified lower estimate of the true supremum,
+to be held against the reported bound.  It works from the class
+coefficients alone, never from (T, d1..d4), so it checks the bound
+independently.
 
-Each grid point is evaluated once, at z = 0, and hz comes from the slope of
-a4 in c3.  The premise: ``classes._composed_target_terms`` leaves t1 and t2
-free of c3 and gives t3 = B1 c3 / 2 + (terms in c1, c2), and
-``classes._invert_relations`` leaves a2 and a3 free of t3 and makes a4
+At fixed c the maximum has a closed form.  ``classes._composed_target_terms``
+leaves t1 and t2 free of c3 and gives t3 = B1 c3 / 2 + (terms in c1, c2),
+and ``classes._invert_relations`` leaves a2 and a3 free of t3 and makes a4
 affine in t3 with a coefficient that depends only on the class.  So
-a4 = slope c3 + f(c1, c2), and since c3 moves with z by
-(4 - c^2)(1 - |x|^2) z / 2, hz = a2 slope (4 - c^2)(1 - |x|^2) / 2.  The
-slope is read once per call through ``coefficient_arrays`` (``_a4_slope``),
-never from (T, d1..d4), and the reported maximum is re-evaluated at its
-(c, x, z) through the full expansion, with no affine step; a ValueError is
-raised if the two disagree.
+a4 = slope c3 + f(c1, c2), and a2 a4 - a3^2 = h0 + hz z with
+hz = a2 slope (4 - c^2)(1 - |x|^2) / 2; its maximum over the z disk is
+|h0| + |hz|, taken where hz z has the phase of h0.  a2 is free of x, a3 is
+affine in x and a4 quadratic, so h0 = A + B x + C x^2.  For real B1, B2, B3
+(``PhiCoefficients`` enforces them) and real class parameters, A, B and
+C are real; rgt's tau multiplies all three by tau^2.  So once one common
+phase is taken out, the maximum over both disks is
 
-Only the upper half of the x disk is evaluated.  The premise is that the
-target's B1, B2, B3 are real, as ``PhiCoefficients`` enforces (the Ma-Minda
-phi is symmetric about the real axis), and that every class parameter
-other than rgt's tau is real.  Then conjugating x and z conjugates c2 and
-c3 (c is real), hence a2, a3 and a4 once rgt's common factor tau is taken
-out, so |a2 a4 - a3^2| (which carries |tau|^2 for rgt) at (c, conj x,
-conj z) equals its value at (c, x, z) for every class.  Each c is evaluated
-at the single point x = 0 and at the angles k = 0..n_theta//2 of rings
-1..n_r-1, that is 1 + (n_r - 1)(n_theta//2 + 1) points (1,024 on the
-default grid against 2,048 of the full circle); every other grid point is
-the mirror of one of these.
+    max over |x| <= 1 of |A + B x + C x^2| + D (1 - |x|^2),   D = |a2 slope| (4 - c^2) / 2,
+
+which the lemma of Choi, Kim and Sugawa (J. Math. Soc. Japan 59 (2007))
+gives in seven cases (``_lemma_case``).  A, B and C are read through one
+``coefficient_arrays`` call at x in {0, 1, -1} and z = 0 for every c, and
+the slope through one more (``_a4_slope``).
+
+Two guards, one in each direction, raise a ValueError.  The rings of the
+grid at the reported c, n_r radii by n_theta angles, must not beat the
+lemma's value there, so a lemma that understates is caught; and the reported
+value is re-evaluated at its (c, x, z) through the full expansion, so a
+lemma or an affine step that overstates is caught.
 
 ``majorant_surface`` is the other side: the triangle majorant in
 (c, mu = |x|) that the certified value is maximised through, and
@@ -49,10 +47,11 @@ random points: |c2| and |c3| stay at most 2.  Its points are drawn block by
 block from one generator, ``_BLOCK`` at a time, so its memory is O(block)
 whatever the sample count, and its disk points come by rejection from the
 square.  Work is capped: at most ``MAX_GRID_POINTS`` grid points,
-``MAX_SLICE_POINTS`` of them per c, and ``MAX_SAMPLES`` samples, refused
-with a ``ValueError`` before anything is built.  numpy is imported by the
-functions that use it, not by this module, so ``import hankelbound`` and the
-``bound``, ``series`` and ``sweep`` commands run without it.
+``MAX_SLICE_POINTS`` ring points at the reported c, and ``MAX_SAMPLES``
+samples, refused with a ``ValueError`` before anything is built.  numpy is
+imported by the functions that use it, not by this module, so
+``import hankelbound`` and the ``bound``, ``series`` and ``sweep`` commands
+run without it.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
-# memory follows the x points of one c, about 180 B each; a c evaluates about
-# half of its n_r * n_theta points (the mirror half), so 2^16 is about 6 MB
+# memory follows the ring check's n_r * n_theta points, all at one c, about
+# 115 B each (tracemalloc peak), so 2^16 of them is about 7.3 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
@@ -149,26 +148,87 @@ def _a4_slope(spec: ClassSpec) -> complex:
     return complex(a4[1] - a4[0])
 
 
+def _quadratic_in_x(spec: ClassSpec, c, slope: complex):
+    """(phase, abc, hz_unit) at each c of the array ``c``: h0 = phase
+    (A + B x + C x^2) with the rows of ``abc`` A, B, C real, and
+    hz = hz_unit (1 - |x|^2).
+
+    A, B and C come from one ``coefficient_arrays`` call at x in {0, 1, -1}
+    and z = 0; ``phase`` is the phase of the largest of them, and a
+    ValueError is raised if what is left after taking it out is not real to
+    1e-12 of that largest value.
+    """
+    import numpy as np
+    x = np.repeat([0j, 1 + 0j, -1 + 0j], len(c))
+    a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(np.tile(c, 3), x))
+    h0 = (a2 * a4 - a3 * a3).reshape(3, -1)  # at x = 0, 1, -1
+    abc = np.stack((h0[0], 0.5 * (h0[1] - h0[2]), 0.5 * (h0[1] + h0[2]) - h0[0]))
+    largest = np.take_along_axis(abc, np.argmax(np.abs(abc), axis=0)[None, :], axis=0)[0]
+    size = np.abs(largest)
+    phase = np.where(size > 0, largest / np.where(size > 0, size, 1.0), 1.0)
+    abc = abc / phase
+    residual = np.max(np.abs(abc.imag), axis=0)
+    if np.any(residual > 1e-12 * size):
+        ic = int(np.argmax(residual - 1e-12 * size))
+        raise ValueError(
+            f"h0 of {spec.describe()} at c={float(c[ic])!r} is not a quadratic with one phase: "
+            f"an imaginary part {float(residual[ic])!r} is left of {float(size[ic])!r}"
+        )
+    hz_unit = np.broadcast_to(a2, x.shape)[: len(c)] * slope * (0.5 * (4.0 - c * c))
+    return phase, abc.real, hz_unit
+
+
+def _lemma_case(A: float, B: float, C: float, D: float) -> tuple[int, float, complex]:
+    """(case, value, x): the maximum over |x| <= 1 of
+    |A + B x + C x^2| + D (1 - |x|^2) for real A, B, C and D >= 0, with a
+    maximiser x, Im x >= 0.
+
+    The seven cases of the lemma of Choi, Kim and Sugawa (J. Math. Soc.
+    Japan 59 (2007)), in their order, written for D Y(A/D, B/D, C/D) with no
+    division by D, so D = 0 needs no special case.
+    """
+    aa, ab, ac = abs(A), abs(B), abs(C)
+    if A * C >= 0:
+        sign = math.copysign(1.0, A if A else C)  # the sign A and C share
+        if ab >= 2.0 * (D - ac):
+            return 1, aa + ab + ac, complex(sign * math.copysign(1.0, B))
+        return 2, D + aa + B * B / (4.0 * (D - ac)), complex(sign * B / (2.0 * (D - ac)))
+    # A C < 0 from here, so C != 0
+    critical = -4.0 * A * C * (D * D - C * C)
+    if B * B * C * C >= critical and ab < 2.0 * (D - ac):
+        return 3, D - aa + B * B / (4.0 * (D - ac)), complex(math.copysign(1.0, C) * B / (2.0 * (D - ac)))
+    if B * B * C * C < critical and ab < 2.0 * (D + ac):
+        return 4, D + aa + B * B / (4.0 * (D + ac)), complex(math.copysign(1.0, A) * B / (2.0 * (D + ac)))
+    if ac * (ab + 4.0 * aa) <= abs(A * B):
+        return 5, aa + ab - ac, complex(math.copysign(1.0, A) * math.copysign(1.0, B))
+    if abs(A * B) <= ac * (ab - 4.0 * aa):
+        return 6, -aa + ab + ac, complex(math.copysign(1.0, C) * math.copysign(1.0, B))
+    # on the unit circle, at the cos(theta) where |A + B x + C x^2|^2 peaks
+    u = min(1.0, max(-1.0, -B * (A + C) / (4.0 * A * C)))
+    return 7, (ac + aa) * math.sqrt(1.0 - B * B / (4.0 * A * C)), complex(u, math.sqrt(1.0 - u * u))
+
+
+def _lemma(A: float, B: float, C: float, D: float) -> tuple[float, complex]:
+    """(value, x) of ``_lemma_case``."""
+    return _lemma_case(A, B, C, D)[1:]
+
+
 def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) -> VerificationReport:
-    """Maximum of |a2 a4 - a3^2| over the parameter grid, with its margin
-    against the reported bound.
+    """Maximum of |a2 a4 - a3^2| over a grid in c, exactly in x and z, with
+    its margin against the reported bound.
 
-    ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], rings of the
-    x disk, and angles on each ring, at most ``MAX_GRID_POINTS`` in all and
-    ``MAX_SLICE_POINTS`` (n_r * n_theta) per c.  Since |a2 a4 - a3^2| is
-    symmetric under (x, z) -> (conj x, conj z) for real B1, B2, B3 (module
-    docstring), each c evaluates only x = 0 and the angles k = 0..n_theta//2
-    of rings 1..n_r-1: 1 + (n_r - 1)(n_theta//2 + 1) points, each equal to
-    a point of the full grid, and ``argmax.x`` has a non-negative imaginary
-    part.  z is not sampled: at each (c, x) the maximum over |z| <= 1 is
-    taken exactly, and ``argmax.z`` is its maximiser.
+    ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], then rings of
+    the x disk and angles on each ring for the ring check at the reported c;
+    at most ``MAX_GRID_POINTS`` in all and ``MAX_SLICE_POINTS``
+    (n_r * n_theta) in the ring check.  At each c the maximum over both
+    disks is ``_lemma`` of the A, B, C and D of ``_quadratic_in_x`` (module
+    docstring), and ``argmax`` is the best c with its maximiser x,
+    Im x >= 0, and the maximising z.
 
-    Each c makes one ``coefficient_arrays`` call, on the z = 0 expansion of
-    its x points; |hz| is |a2 slope| (4 - c^2)/2 (1 - |x|^2), from a4's
-    c3-slope, read once (module docstring).  One more call re-evaluates the
-    reported point through ``expand_arrays``, and a ValueError is raised if
-    it differs from ``empirical_sup`` by more than 1e-12 of
-    |a2 a4| + |a3|^2 there.
+    A ValueError is raised if the ring points at the reported c beat that
+    value by more than 1e-12 of it, or if the value re-evaluated at
+    ``argmax`` through ``expand_arrays`` differs from it by more than 1e-12
+    of |a2 a4| + |a3|^2 there.
     """
     import numpy as np
     n_c, n_r, n_t = _grid_sizes(grid, "n_c * n_r * n_theta")
@@ -176,31 +236,24 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         raise ValueError(f"grid too large: n_r * n_theta must be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
-    radii = np.linspace(0.0, 1.0, n_r)
-    # the full circle's angles, cut to the upper half: k > n_t // 2 mirrors n_t - k
-    angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)[: n_t // 2 + 1]
-    x_points = np.concatenate(([0j], (radii[1:, None] * angles[None, :]).ravel()))
-    weight = _disk_weight(x_points)
     slope = _a4_slope(spec)
+    phase, abc, hz_unit = _quadratic_in_x(spec, c_values, slope)
+    table = np.vstack((abc, np.abs(hz_unit)))  # rows A, B, C, D
+    # a power of two per c brings its table to order 1 exactly, so the
+    # lemma's fourth powers neither overflow nor underflow
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(table), axis=0))[1])
 
-    best_value = -1.0
-    best = (0, 0, 0j, 0j)
-    # one c at a time keeps the arrays cache-sized; all c at once is slower
-    for ic, c in enumerate(c_values.tolist()):
-        a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x_points))
-        # a2 a4 - a3^2 = h0 + hz z, hz = hz_unit (1 - |x|^2); a2 may be an array or a scalar
-        h0 = a2 * a4 - a3 * a3
-        hz_unit = a2 * slope * (0.5 * (4.0 - c * c))
-        values = np.abs(h0) + np.abs(hz_unit) * weight
-        ix = int(np.argmax(values))
-        if values[ix] > best_value:
-            best_value = float(values[ix])
-            hz = complex(np.broadcast_to(hz_unit, weight.shape)[ix]) * float(weight[ix])
-            best = (ic, ix, complex(h0[ix]), hz)
-    ic, ix, h0_best, hz_best = best
-    argmax = CaratheodoryPoint(
-        c=float(c_values[ic]), x=complex(x_points[ix]), z=_maximising_z(h0_best, hz_best)
-    )
+    best_value, best_ic, best_x = -1.0, 0, 0j
+    for ic, (A, B, C, D, m) in enumerate(zip(*(table / scale).tolist(), scale.tolist())):
+        value, x = _lemma(A, B, C, D)
+        if value * m > best_value:
+            best_value, best_ic, best_x = value * m, ic, x
+    c = float(c_values[best_ic])
+    A, B, C = abc[:, best_ic]
+    h0 = complex(phase[best_ic]) * (A + (B + C * best_x) * best_x)
+    hz = complex(hz_unit[best_ic]) * float(_disk_weight(best_x))
+    argmax = CaratheodoryPoint(c=c, x=best_x, z=_maximising_z(h0, hz))
+    _check_rings(spec, c, slope, (n_r, n_t), best_value)
     _check_affine_step(spec, argmax, best_value)
     violations = check_mu_monotone(spec)
     return VerificationReport(
@@ -213,6 +266,24 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     )
 
 
+def _check_rings(spec: ClassSpec, c: float, slope: complex, rings: tuple[int, int], value: float) -> None:
+    """Raise a ValueError if |h0| + |hz| at x = 0 or on the full circle of
+    rings 1..n_r-1, n_theta angles each, beats ``value`` by more than 1e-12
+    of it at this c."""
+    import numpy as np
+    n_r, n_t = rings
+    angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    x = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
+    a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
+    values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * _disk_weight(x)
+    ix = int(np.argmax(values))
+    if values[ix] > value * (1.0 + 1e-12):
+        raise ValueError(
+            f"ring value {float(values[ix])!r} of {spec.describe()} at c={c!r}, x={complex(x[ix])!r} "
+            f"beats the lemma's {value!r}: the lemma understates"
+        )
+
+
 def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) -> None:
     """Raise a ValueError unless |a2 a4 - a3^2| at ``point``, through the full
     expansion with no affine step, is ``value`` to 1e-12 of its terms' size."""
@@ -221,7 +292,7 @@ def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) 
     if not abs(direct - value) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2):
         raise ValueError(
             f"grid value {value!r} of {spec.describe()} at c={point.c!r}, x={point.x!r}, z={point.z!r} "
-            f"is {direct!r} when evaluated directly: a4 is not affine in c3"
+            f"is {direct!r} when evaluated directly: a4 is not affine in c3, or the lemma overstates"
         )
 
 

@@ -685,8 +685,10 @@ class TestFailureContract:
             (["sweep", "--sweep", "gamma", "--start", "0", "--stop", "1", "--step", "0.5"],
              "sweep variable gamma needs a phi source"),
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
+            (["verify", "--preset", "halfplane", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ],
-        ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list"],
+        ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list",
+             "negative_seed"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
         list_file = tmp_path / "phi.json"

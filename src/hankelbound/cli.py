@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=100_000,
-        help=f"coefficient-bound samples, at most {verify.MAX_SAMPLES}",
+        help=f"coefficient-bound seeded points: (c, x) pairs crossed with z; at most {verify.MAX_SAMPLES}",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -28,35 +28,25 @@ phase is taken out, the maximum over both disks is
     max over |x| <= 1 of |A + B x + C x^2| + D (1 - |x|^2),   D = |a2 slope| (4 - c^2) / 2,
 
 which the lemma of Choi, Kim and Sugawa (J. Math. Soc. Japan 59 (2007))
-gives in seven cases (``_lemma_case``).  A, B and C are read through one
-``coefficient_arrays`` call at x in {0, 1, -1} and z = 0 for every c, and
-the slope through one more (``_a4_slope``).
-
-Two guards, one in each direction, raise a ValueError.  The rings of the
-grid at the reported c, n_r radii by n_theta angles, must not beat the
-lemma's value there, so a lemma that understates is caught; and the reported
-value is re-evaluated at its (c, x, z) through the full expansion, so a
-lemma or an affine step that overstates is caught.
+gives in seven cases (``_lemma_case``) from the A, B and C of
+``_quadratic_in_x`` and the slope of ``_a4_slope``.
 
 ``majorant_surface`` is the other side: the triangle majorant in
 (c, mu = |x|) that the certified value is maximised through, and
 ``check_mu_monotone`` checks that it peaks at mu = 1.
 
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
-random points: |c2| and |c3| stay at most 2.  Its points are drawn block by
-block from one generator, ``_BLOCK`` at a time, so its memory is O(block)
-whatever the sample count, and its disk points come by rejection from the
-square.  Work is capped: at most ``MAX_GRID_POINTS`` grid points,
-``MAX_SLICE_POINTS`` ring points at the reported c, and ``MAX_SAMPLES``
-samples, refused with a ``ValueError`` before anything is built.  numpy is
-imported by the functions that use it, not by this module, so
-``import hankelbound`` and the ``bound``, ``series`` and ``sweep`` commands
-run without it.
+points: |c2| and |c3| stay at most 2.  c3 is affine in z, so its points are
+(c, x) pairs crossed with shared z points.  Work is capped: at most
+``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` ring points at the
+reported c, and ``MAX_SAMPLES`` samples, refused with a ``ValueError``
+before anything is built.  numpy is imported by the functions that use it,
+not by this module, so ``import hankelbound`` and the ``bound``, ``series``
+and ``sweep`` commands run without it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,15 +58,15 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
-# memory follows the ring check's n_r * n_theta points, all at one c, about
-# 115 B each (tracemalloc peak), so 2^16 of them is about 7.3 MB
+# memory follows the ring check's n_r * n_theta points, at one c and half at a
+# time, about 76 B each (tracemalloc peak), so 2^16 of them is about 5.0 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
-# a block's 5,477 candidate disk points are 87.6 KB, under glibc's 128 KB mmap threshold
+# a block's largest temporary, (256, 16) complex, is 64 KB, under glibc's 128 KB mmap threshold
 _BLOCK = 4096
-# Boundary configurations stored column-wise, (c values, x values, z values):
-# the points (c, x, z) = (2, 0.25+0.5i, 0.5i), which gives |c2| = |c3| = 2,
-# and (0, 1, -1), which gives only |c2| = 2.
+_Z_PER_PAIR = 16
+# Boundary points (c, x, z), stored column-wise: (2, 0.25+0.5i, 0.5i) gives
+# |c2| = |c3| = 2, and (0, 1, -1) gives only |c2| = 2.
 _RIDE_ALONG = ((2.0, 0.0), (0.25 + 0.5j, 1.0 + 0j), (0.5j, -1.0 + 0j))
 
 
@@ -225,10 +215,10 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     docstring), and ``argmax`` is the best c with its maximiser x,
     Im x >= 0, and the maximising z.
 
-    A ValueError is raised if the ring points at the reported c beat that
-    value by more than 1e-12 of it, or if the value re-evaluated at
-    ``argmax`` through ``expand_arrays`` differs from it by more than 1e-12
-    of |a2 a4| + |a3|^2 there.
+    Two guards raise a ValueError: the ring points at the reported c must
+    not beat that value by more than 1e-12 of it (the lemma understates),
+    and the value re-evaluated at ``argmax`` through ``expand_arrays`` must
+    match it to 1e-12 of |a2 a4| + |a3|^2 there (the lemma or affine step overstates).
     """
     import numpy as np
     n_c, n_r, n_t = _grid_sizes(grid, "n_c * n_r * n_theta")
@@ -273,13 +263,20 @@ def _check_rings(spec: ClassSpec, c: float, slope: complex, rings: tuple[int, in
     import numpy as np
     n_r, n_t = rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
-    x = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
-    a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
-    values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * _disk_weight(x)
-    ix = int(np.argmax(values))
-    if values[ix] > value * (1.0 + 1e-12):
+    radii = np.linspace(0.0, 1.0, n_r)
+    found = []
+    # x = 0 with the inner half of the rings, then the outer half, so that on
+    # the doubled grid every temporary stays under glibc's 128 KB mmap threshold
+    for head, r in (([0j], radii[1 : n_r // 2]), ([], radii[n_r // 2 :])):
+        x = np.concatenate((head, (r[:, None] * angles[None, :]).ravel()))
+        a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
+        values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * _disk_weight(x)
+        ix = int(np.argmax(values))
+        found.append((float(values[ix]), complex(x[ix])))
+    best, best_x = max(found, key=lambda f: f[0])  # the first on a tie, as one argmax
+    if best > value * (1.0 + 1e-12):
         raise ValueError(
-            f"ring value {float(values[ix])!r} of {spec.describe()} at c={c!r}, x={complex(x[ix])!r} "
+            f"ring value {best!r} of {spec.describe()} at c={c!r}, x={best_x!r} "
             f"beats the lemma's {value!r}: the lemma understates"
         )
 
@@ -369,24 +366,27 @@ def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
-    """Max |c2| and |c3| over random points and ``_RIDE_ALONG``; both must stay <= 2.
+    """Max |c2| and |c3| over ``samples`` seeded points and ``_RIDE_ALONG``; both must stay <= 2.
 
-    The points are drawn from one ``default_rng(seed)``, ``_BLOCK`` at a time
-    (c, then the x and z disks by ``_disk_samples``), so memory stays O(block)
-    and every temporary stays below the allocator's mmap threshold.
-    ``samples`` is at most ``MAX_SAMPLES``.
+    One ``default_rng(seed)`` draws each block of n <= ``_BLOCK`` points as
+    ceil(n / nz) (c, x) pairs, c uniform on [0, 2] and x by ``_disk_samples``,
+    crossed with nz = min(``_Z_PER_PAIR``, isqrt(n)) z points, and counts the
+    first n of the row-major product.  ``samples`` is at most ``MAX_SAMPLES``.
     """
     import numpy as np
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}")
+    _, c2, c3 = expand_arrays(*map(np.array, _RIDE_ALONG))
+    max_c2, max_c3 = float(np.max(np.abs(c2))), float(np.max(np.abs(c3)))
     rng = np.random.default_rng(seed)
-    counts = (min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK))
-    blocks = ((rng.uniform(0.0, 2.0, n), _disk_samples(rng, n), _disk_samples(rng, n)) for n in counts)
-    max_c2 = max_c3 = 0.0
-    for c, x, z in itertools.chain(blocks, [map(np.array, _RIDE_ALONG)]):
-        _, c2, c3 = expand_arrays(c, x, z)
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        nz = min(_Z_PER_PAIR, math.isqrt(n))
+        c = rng.uniform(0.0, 2.0, -(-n // nz))[:, None]
+        _, c2, c3 = expand_arrays(c, _disk_samples(rng, len(c))[:, None], _disk_samples(rng, nz)[None, :])
+        # every pair has a counted point, so c2, one value per pair, needs no cut
         max_c2 = max(max_c2, float(np.max(np.abs(c2))))
-        max_c3 = max(max_c3, float(np.max(np.abs(c3))))
+        max_c3 = max(max_c3, float(np.max(np.abs(c3.ravel()[:n]))))
     return max_c2, max_c3

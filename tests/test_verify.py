@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hankelbound.verify import (
     MAX_GRID_POINTS,
     MAX_SAMPLES,
     _a4_slope,
+    _check_rings,
     _disk_samples,
     _lemma,
     _lemma_case,
@@ -102,10 +105,12 @@ class TestCaratheodoryBounds:
 
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
-    def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
-        # the oracle: per block of at most 4,096, c, then the x rounds, then
-        # the z rounds, from one generator; each disk is drawn by rejection
-        # from [-1, 1]^2 in rounds of 2 (need + need // 3 + 16) doubles
+    def test_blocks_are_pairs_crossed_with_z(self, monkeypatch, samples, seed):
+        # the oracle: the ride-along points, then per block of n <= 4,096
+        # points k = ceil(n / nz) values of c, then the k x of the pairs, then
+        # nz = min(16, isqrt(n)) z, from one generator, as columns and a row;
+        # each disk is drawn by rejection from [-1, 1]^2 in rounds of
+        # 2 (need + need // 3 + 16) doubles
         def disk(rng, n):
             kept = []
             while len(kept) < n:
@@ -119,7 +124,9 @@ class TestCaratheodoryBounds:
         oracle = []
         for start in range(0, samples, 4096):
             n = min(4096, samples - start)
-            oracle.append((rng.uniform(0.0, 2.0, n), disk(rng, n), disk(rng, n)))
+            nz = min(16, math.isqrt(n))
+            k = -(-n // nz)
+            oracle.append((rng.uniform(0.0, 2.0, k)[:, None], disk(rng, k)[:, None], disk(rng, nz)[None, :]))
         seen = []
 
         def spy(c, x, z):
@@ -128,15 +135,55 @@ class TestCaratheodoryBounds:
 
         monkeypatch.setattr("hankelbound.verify.expand_arrays", spy)
         hb.check_caratheodory_bounds(samples, seed)
-        blocks, ride_along = seen[:-1], seen[-1]
+        ride_along, blocks = seen[0], seen[1:]
         assert np.array_equal(ride_along[0], [2.0, 0.0])
         assert len(blocks) == len(oracle)
         for block, expected in zip(blocks, oracle):
-            for streamed, drawn in zip(block, expected):
-                assert np.array_equal(streamed, drawn)
+            for crossed, drawn in zip(block, expected):
+                assert np.array_equal(crossed, drawn)
 
-    @pytest.mark.parametrize("seed", [0, 1729])
-    def test_draws_detect_a_faulty_expansion(self, monkeypatch, seed):
+    @pytest.mark.parametrize("samples", [1, 10, 15, 16, 17, 255, 256, 4095, 4096, 4097])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exactly_samples_points_count(self, monkeypatch, samples, seed):
+        # the true expansion keeps every drawn |c2| and |c3| at most the
+        # ride-along's 2, so it cannot show which points count; this stand-in
+        # grows with the pair and with the row-major point index (the draws
+        # add less than 1/2, and abs of a real value rounds nothing)
+        seen = []
+
+        def stand_in(c, x, z):
+            seen.append((c, z))
+            shape = np.broadcast(c, z).shape
+            pair, point = np.arange(np.size(c)).reshape(np.shape(c)), np.arange(math.prod(shape)).reshape(shape)
+            return c + 0j, pair + c / 8.0 + 0j, point + (c + z.real) / 8.0 + 0j
+
+        monkeypatch.setattr("hankelbound.verify.expand_arrays", stand_in)
+        result = hb.check_caratheodory_bounds(samples, seed)
+        (ride_c, ride_z), blocks = seen[0], seen[1:]
+        max_c2 = max(p + c / 8.0 for p, c in enumerate(ride_c))
+        max_c3 = max(abs(p + (c + z.real) / 8.0) for p, (c, z) in enumerate(zip(ride_c, ride_z)))
+        counted = 0
+        for start, (c, z) in zip(range(0, samples, 4096), blocks):
+            n = min(4096, samples - start)
+            nz = z.shape[1]
+            for i in range(n):
+                pair, j = divmod(i, nz)
+                max_c2 = max(max_c2, pair + c[pair, 0] / 8.0)
+                max_c3 = max(max_c3, abs(i + (c[pair, 0] + z[0, j].real) / 8.0))
+                counted += 1
+        assert counted == samples
+        assert result == (max_c2, max_c3)
+
+    @pytest.mark.parametrize(
+        "samples, floor, seed",
+        # ids [seed] at the default 100,000 samples, [samples-seed] below it
+        [
+            pytest.param(samples, floor, seed, id=str(seed) if samples == 100_000 else f"{samples}-{seed}")
+            for samples, floor in ((100, 2), (1000, 2), (100_000, 3))
+            for seed in (0, 1729)
+        ],
+    )
+    def test_draws_detect_a_faulty_expansion(self, monkeypatch, samples, floor, seed):
         # c3 without the (1 - |x|^2) factor on z: the ride-along points miss
         # it, so only the random draws can push |c3| past 2
         def faulty_expand(c, x, z):
@@ -147,8 +194,8 @@ class TestCaratheodoryBounds:
         _, c2, c3 = faulty_expand(*(np.array(v) for v in _RIDE_ALONG))
         assert (np.max(np.abs(c2)), np.max(np.abs(c3))) == (2.0, 2.0)
         monkeypatch.setattr("hankelbound.verify.expand_arrays", faulty_expand)
-        _, max_c3 = hb.check_caratheodory_bounds(100_000, seed)
-        assert max_c3 > 3
+        _, max_c3 = hb.check_caratheodory_bounds(samples, seed)
+        assert max_c3 > floor
 
     def test_short_round_is_topped_up(self):
         # a first round of zeros maps to -1 - 1i, outside the disk, so every
@@ -359,7 +406,8 @@ class TestMirrorHalf:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, (8, 8, 9), (16, 8, 16)])
     def test_points_per_c(self, monkeypatch, grid):
         # the slope read, one call on x in {0, 1, -1} for every c, the full
-        # rings at the reported c, then the guard's one scalar point
+        # rings at the reported c in two calls, x = 0 with the inner half of
+        # the rings and then the outer half, then the guard's one scalar point
         shapes = []
 
         def spy(spec, c1, c2, c3):
@@ -368,9 +416,10 @@ class TestMirrorHalf:
 
         monkeypatch.setattr("hankelbound.verify.coefficient_arrays", spy)
         n_c, n_r, n_t = grid
-        n = 1 + (n_r - 1) * n_t
+        inner, outer = 1 + (n_r // 2 - 1) * n_t, (n_r - n_r // 2) * n_t
         hb.empirical_sup(hb.starlike(hb.preset("lemniscate")), grid=grid)
-        assert shapes == [((2,), (2,), (2,)), ((3 * n_c,),) * 3, ((), (n,), (n,)), ((), (), ())]
+        rings = [((), (inner,), (inner,)), ((), (outer,), (outer,))]
+        assert shapes == [((2,), (2,), (2,)), ((3 * n_c,),) * 3, *rings, ((), (), ())]
 
 
 class TestLemma:
@@ -516,6 +565,36 @@ class TestGuards:
                 rings = float(np.max(np.abs(h0) + np.abs(hz)))
                 assert rings <= report.empirical_sup * (1 + 1e-12)
                 assert rings >= report.empirical_sup * (1 - 1e-3), (spec.describe(), phi.label)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_rings_in_halves_match_one_full_circle(self, monkeypatch, kind, rng):
+        # on the doubled grid each ring call stays under 8,192 points, so its
+        # complex temporaries stay under 128 KB; the best ring point is the
+        # one a single evaluation of x = 0 and every ring finds, bit for bit
+        sizes = []
+
+        def spy(spec, c1, c2, c3):
+            sizes.append(max(np.size(c1), np.size(c2), np.size(c3)))
+            return coefficient_arrays(spec, c1, c2, c3)
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", spy)
+        n_r, n_t = 64, 128
+        angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+        x = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
+        for _ in range(5):
+            spec = random_spec(rng, kind)
+            c = float(rng.uniform(0, 2))
+            slope = _a4_slope(spec)
+            a2, a3, a4 = coefficient_arrays(spec, *hb.verify._expand_at_zero(c, x))
+            values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * hb.verify._disk_weight(x)
+            ix = int(np.argmax(values))
+            sizes.clear()
+            with pytest.raises(ValueError) as refused:
+                _check_rings(spec, c, slope, (n_r, n_t), 0.0)
+            assert len(sizes) == 2 and max(sizes) < 8192
+            found = re.search(r"ring value (\S+) of .* x=(\S+) beats", str(refused.value))
+            assert float(found[1]) == float(values[ix])
+            assert complex(found[2]) == complex(x[ix])
 
 
 def _check_a4_affine_in_c3(spec, rng):

@@ -105,8 +105,9 @@ class TestCaratheodoryBounds:
 
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
-    def test_blocks_are_pairs_crossed_with_z(self, monkeypatch, samples, seed):
-        # the oracle: the ride-along points, then per block of n <= 4,096
+    def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
+        # the blocks are (c, x) pairs crossed with shared z points; the
+        # oracle: the ride-along points, then per block of n <= 4,096
         # points k = ceil(n / nz) values of c, then the k x of the pairs, then
         # nz = min(16, isqrt(n)) z, from one generator, as columns and a row;
         # each disk is drawn by rejection from [-1, 1]^2 in rounds of

@@ -4,6 +4,7 @@ from .bounds import (
     BoundResult,
     QuadraticProfile,
     certified_quadratic,
+    majorant_surface,
     profile,
     quad_max,
     robust_quad_max,
@@ -28,7 +29,6 @@ from .verify import (
     check_caratheodory_bounds,
     check_mu_monotone,
     empirical_sup,
-    majorant_surface,
 )
 
 __version__ = "0.1.0"

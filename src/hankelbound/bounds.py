@@ -28,6 +28,8 @@ certified value: the Caratheodory parameterisation of (c2, c3) with the
 triangle inequality applied term by term to the (T, d1..d4) functional,
 which is an upper bound for every admissible target by construction (see
 ``certified_quadratic``).  ``bound`` may thus exceed ``closed_form_value``.
+``majorant_surface`` gives that triangle majorant in (c, mu = |x|), and
+``certified_quadratic`` is its mu = 1 section.
 """
 
 from __future__ import annotations
@@ -241,6 +243,27 @@ def certified_quadratic(prof: QuadraticProfile) -> tuple[float, float, float]:
         quartic - linear / 2.0 - (d1 - abs(d3)) / 4.0,
         2.0 * linear + d1 - 2.0 * abs(d3),
         4.0 * abs(d3),
+    )
+
+
+def majorant_surface(spec: ClassSpec, c, mu):
+    """The majorant F(c, mu) of |a2 a4 - a3^2| that the certified value is
+    maximised through: T times the triangle majorant of ``majorant_weights``.
+
+    For every x and z with |x| = mu and |z| <= 1 it dominates
+    |a2 a4 - a3^2| at c1 = c, it is non-decreasing in mu, and its mu = 1
+    section is ``certified_quadratic`` in t = c^2.  Plain arithmetic: it
+    takes floats, and broadcasts over numpy arrays.
+    """
+    prof = profile(spec)
+    quartic, linear = majorant_weights(prof)
+    s = 4.0 - c * c
+    c2 = c * c
+    return prof.T * (
+        quartic * c2 * c2
+        + 0.5 * linear * c2 * s * mu
+        + 0.25 * s * mu * mu * abs(prof.d3 * s - prof.d1 * c2)
+        + 0.5 * prof.d1 * c * s * (1.0 - mu * mu)
     )
 
 

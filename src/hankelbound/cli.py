@@ -46,18 +46,12 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number from {text!r}") from exc
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
+def _parse_triple(text: str, convert, expected: str) -> tuple:
+    """Three comma-separated values of ``text``, each through ``convert``."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected B1,B2,B3 with three values, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
-
-
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected n_c,n_r,n_theta, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+        raise ValueError(f"expected {expected}, got {text!r}")
+    return tuple(convert(p) for p in parts)
 
 
 def _flag_type(parse):
@@ -122,7 +116,7 @@ def _build_phi(args) -> targets.PhiCoefficients:
     if args.preset is not None:
         return targets.preset(args.preset, **params)
     if args.custom is not None:
-        b1, b2, b3 = _parse_triple(args.custom)
+        b1, b2, b3 = _parse_triple(args.custom, float, "B1,B2,B3 with three values")
         return targets.custom(b1, b2, b3)
     return targets.load_phi_file(args.phi_file)
 
@@ -309,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument(
         "--grid",
-        type=_flag_type(_parse_grid),
+        type=_flag_type(functools.partial(_parse_triple, convert=int, expected="n_c,n_r,n_theta")),
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
         help="points along c; NR rings x NT angles cross-check the reported c (x and z are maximised exactly); "

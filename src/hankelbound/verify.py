@@ -31,9 +31,9 @@ which the lemma of Choi, Kim and Sugawa (J. Math. Soc. Japan 59 (2007))
 gives in seven cases (``_lemma_case``) from the A, B and C of
 ``_quadratic_in_x`` and the slope of ``_a4_slope``.
 
-``majorant_surface`` is the other side: the triangle majorant in
-(c, mu = |x|) that the certified value is maximised through, and
-``check_mu_monotone`` checks that it peaks at mu = 1.
+``check_mu_monotone`` checks the other side: that
+``bounds.majorant_surface``, the triangle majorant in (c, mu = |x|) that
+the certified value is maximised through, peaks at mu = 1.
 
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
 points: |c2| and |c3| stay at most 2.  c3 is affine in z, so its points are
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import majorant_weights, profile, second_hankel_bound
+from .bounds import majorant_surface, second_hankel_bound
 from .classes import ClassSpec, coefficient_arrays
 
 DEFAULT_GRID = (64, 32, 64)
@@ -58,11 +58,14 @@ DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
 MAX_GRID_POINTS = 2**24
-# memory follows the ring check's n_r * n_theta points, at one c and half at a
-# time, about 76 B each (tracemalloc peak), so 2^16 of them is about 5.0 MB
+# memory follows the ring check's n_r * n_theta points at one c: built at once,
+# about 32 B each (tracemalloc peak), then evaluated _BLOCK at a time, so 2^16
+# of them is about 2.1 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
-# a block's largest temporary, (256, 16) complex, is 64 KB, under glibc's 128 KB mmap threshold
+# at most this many points per array call, ring points or a sample block's
+# (256, 16) pairs x z: a complex temporary is then at most 64 KB, under
+# glibc's 128 KB mmap threshold
 _BLOCK = 4096
 _Z_PER_PAIR = 16
 # Boundary points (c, x, z), stored column-wise: (2, 0.25+0.5i, 0.5i) gives
@@ -259,16 +262,13 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
 def _check_rings(spec: ClassSpec, c: float, slope: complex, rings: tuple[int, int], value: float) -> None:
     """Raise a ValueError if |h0| + |hz| at x = 0 or on the full circle of
     rings 1..n_r-1, n_theta angles each, beats ``value`` by more than 1e-12
-    of it at this c."""
+    of it at this c.  The points are evaluated ``_BLOCK`` at a time."""
     import numpy as np
     n_r, n_t = rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
-    radii = np.linspace(0.0, 1.0, n_r)
+    points = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
     found = []
-    # x = 0 with the inner half of the rings, then the outer half, so that on
-    # the doubled grid every temporary stays under glibc's 128 KB mmap threshold
-    for head, r in (([0j], radii[1 : n_r // 2]), ([], radii[n_r // 2 :])):
-        x = np.concatenate((head, (r[:, None] * angles[None, :]).ravel()))
+    for x in np.split(points, range(_BLOCK, len(points), _BLOCK)):
         a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
         values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * _disk_weight(x)
         ix = int(np.argmax(values))
@@ -312,32 +312,9 @@ def _maximising_z(h0: complex, hz: complex) -> complex:
     return (h0 / abs(h0)) / (hz / abs(hz))
 
 
-def majorant_surface(spec: ClassSpec, c, mu):
-    """The majorant F(c, mu) of |a2 a4 - a3^2| that the bound is maximised
-    through: T times the triangle majorant of ``bounds.majorant_weights``,
-    built from the (T, d1..d4) of ``bounds.profile``.
-
-    For every x and z with |x| = mu and |z| <= 1 it dominates
-    |a2 a4 - a3^2| at c1 = c, it is non-decreasing in mu, and its mu = 1
-    section is the certified quadratic.  Broadcasts over numpy arrays.
-    """
-    import numpy as np
-    prof = profile(spec)
-    quartic, linear = majorant_weights(prof)
-    c = np.asarray(c, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    s = 4.0 - c * c
-    c2 = c * c
-    return prof.T * (
-        quartic * c2 * c2
-        + 0.5 * linear * c2 * s * mu
-        + 0.25 * s * mu * mu * np.abs(prof.d3 * s - prof.d1 * c2)
-        + 0.5 * prof.d1 * c * s * (1.0 - mu * mu)
-    )
-
-
 def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) -> int:
-    """Count strict decreases of the majorant along mu at fixed c; expected 0.
+    """Count strict decreases of ``bounds.majorant_surface`` along mu at
+    fixed c; expected 0.
 
     At c = 2 the surface is constant in mu (every 4 - c^2 factor vanishes),
     which is not a violation; the comparison is non-strict with a tiny slack.

@@ -525,7 +525,7 @@ def test_cached_parser_carries_no_state(capsys):
     assert out == fresh.stdout
 
 
-# bound, series and sweep leave numpy unloaded; the verifier then loads it
+# bound, series, sweep and the majorant leave numpy unloaded; the verifier then loads it
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import hankelbound as hb, hankelbound.cli as cli
@@ -533,8 +533,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv.split()) for argv in (
         "bound --preset lemniscate", "series --preset parabolic",
         "sweep --sweep beta_strong --start 0.1 --stop 0.5 --step 0.1")]
-loaded = "numpy" in sys.modules
 spec = hb.starlike(hb.preset("halfplane"))
+hb.majorant_surface(spec, 1.0, 0.5)
+loaded = "numpy" in sys.modules
 report = hb.empirical_sup(spec, grid=(16, 8, 16))
 print(json.dumps({"codes": codes, "loaded": loaded, "sup": report.empirical_sup, "margin": report.margin,
                   "violations": hb.check_mu_monotone(spec), "loaded_after": "numpy" in sys.modules}))

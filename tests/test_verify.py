@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,8 +408,9 @@ class TestMirrorHalf:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, (8, 8, 9), (16, 8, 16)])
     def test_points_per_c(self, monkeypatch, grid):
         # the slope read, one call on x in {0, 1, -1} for every c, the full
-        # rings at the reported c in two calls, x = 0 with the inner half of
-        # the rings and then the outer half, then the guard's one scalar point
+        # rings at the reported c in one call of x = 0 and every ring, as each
+        # of these grids has at most _BLOCK ring points, then the guard's one
+        # scalar point
         shapes = []
 
         def spy(spec, c1, c2, c3):
@@ -417,10 +419,9 @@ class TestMirrorHalf:
 
         monkeypatch.setattr("hankelbound.verify.coefficient_arrays", spy)
         n_c, n_r, n_t = grid
-        inner, outer = 1 + (n_r // 2 - 1) * n_t, (n_r - n_r // 2) * n_t
+        ring = 1 + (n_r - 1) * n_t
         hb.empirical_sup(hb.starlike(hb.preset("lemniscate")), grid=grid)
-        rings = [((), (inner,), (inner,)), ((), (outer,), (outer,))]
-        assert shapes == [((2,), (2,), (2,)), ((3 * n_c,),) * 3, *rings, ((), (), ())]
+        assert shapes == [((2,), (2,), (2,)), ((3 * n_c,),) * 3, ((), (ring,), (ring,)), ((), (), ())]
 
 
 class TestLemma:
@@ -646,9 +647,27 @@ class TestAffineInC3:
             expected = spec.tau * b1 / (8 * (1 + 3 * spec.gamma))
         else:
             expected = b1 / (8 * (1 + 2 * spec.blend))
-        for name in ("profile", "majorant_weights", "second_hankel_bound"):
-            monkeypatch.setattr(f"hankelbound.verify.{name}", None)
+        for name in ("verify.majorant_surface", "verify.second_hankel_bound",
+                     "bounds.profile", "bounds.majorant_weights"):
+            monkeypatch.setattr(f"hankelbound.{name}", None)
         assert _a4_slope(spec) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_sup_is_found_without_the_bound_path(self, kind, monkeypatch, rng):
+        # the whole grid path, the rings and the affine-step guard, with every
+        # reader of (T, d1..d4) stubbed out or made to raise
+        spec = random_spec(rng, kind)
+        expected = hb.empirical_sup(spec, grid=(16, 8, 16))
+
+        def raises(*args):
+            raise AssertionError("the supremum read (T, d1..d4)")
+
+        monkeypatch.setattr("hankelbound.verify.second_hankel_bound", lambda spec: SimpleNamespace(bound=1.0))
+        monkeypatch.setattr("hankelbound.verify.check_mu_monotone", lambda spec: 0)
+        monkeypatch.setattr("hankelbound.bounds.profile", raises)
+        monkeypatch.setattr("hankelbound.bounds.majorant_weights", raises)
+        report = hb.empirical_sup(spec, grid=(16, 8, 16))
+        assert (report.empirical_sup, report.argmax) == (expected.empirical_sup, expected.argmax)
 
     def test_guard_refuses_a4_not_affine_in_c3(self, monkeypatch):
         # a4 = c3^2 at c = 0 and 0 elsewhere: the slope read at c3 in {0, 1}

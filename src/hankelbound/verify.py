@@ -17,19 +17,18 @@ At fixed c the maximum has a closed form.  ``classes._composed_target_terms``
 leaves t1 and t2 free of c3 and gives t3 = B1 c3 / 2 + (terms in c1, c2),
 and ``classes._invert_relations`` leaves a2 and a3 free of t3 and makes a4
 affine in t3 with a coefficient that depends only on the class.  So
-a4 = slope c3 + f(c1, c2), and a2 a4 - a3^2 = h0 + hz z with
-hz = a2 slope (4 - c^2)(1 - |x|^2) / 2; its maximum over the z disk is
-|h0| + |hz|, taken where hz z has the phase of h0.  a2 is free of x, a3 is
+a2 a4 - a3^2 = h0 + hz z, whose maximum over the z disk is |h0| + |hz|,
+taken where hz z has the phase of h0.  t1 = B1 c1 / 2 leaves a2 free of x,
+so hz = hz_unit (1 - |x|^2), with hz_unit the z-term read at x = 0.  a3 is
 affine in x and a4 quadratic, so h0 = A + B x + C x^2.  For real B1, B2, B3
 (``PhiCoefficients`` enforces them) and real class parameters, A, B and
 C are real; rgt's tau multiplies all three by tau^2.  So once one common
 phase is taken out, the maximum over both disks is
 
-    max over |x| <= 1 of |A + B x + C x^2| + D (1 - |x|^2),   D = |a2 slope| (4 - c^2) / 2,
+    max over |x| <= 1 of |A + B x + C x^2| + D (1 - |x|^2),   D = |hz_unit|,
 
 which the lemma of Choi, Kim and Sugawa (J. Math. Soc. Japan 59 (2007))
-gives in seven cases (``_lemma_case``) from the A, B and C of
-``_quadratic_in_x`` and the slope of ``_a4_slope``.
+gives in seven cases (``_lemma_case``) from what ``_quadratic_in_x`` reads.
 
 ``check_mu_monotone`` checks the other side: that
 ``bounds.majorant_surface``, the triangle majorant in (c, mu = |x|) that
@@ -132,30 +131,23 @@ def expand_arrays(c, x, z):
     return c1, c2, c3 + 0.5 * (4.0 - c * c) * _disk_weight(x) * z
 
 
-def _a4_slope(spec: ClassSpec) -> complex:
-    """The c3-slope of a4, read through ``coefficient_arrays`` at c1 = c2 = 0
-    and c3 in {0, 1}; a4 is affine in c3 (module docstring)."""
-    import numpy as np
-    zeros = np.zeros(2, dtype=complex)
-    _, _, a4 = coefficient_arrays(spec, zeros, zeros, np.array([0j, 1 + 0j]))
-    return complex(a4[1] - a4[0])
-
-
-def _quadratic_in_x(spec: ClassSpec, c, slope: complex):
+def _quadratic_in_x(spec: ClassSpec, c):
     """(phase, abc, hz_unit) at each c of the array ``c``: h0 = phase
     (A + B x + C x^2) with the rows of ``abc`` A, B, C real, and
     hz = hz_unit (1 - |x|^2).
 
-    A, B and C come from one ``coefficient_arrays`` call at x in {0, 1, -1}
-    and z = 0; ``phase`` is the phase of the largest of them, and a
-    ValueError is raised if what is left after taking it out is not real to
-    1e-12 of that largest value.
+    All four come from one ``coefficient_arrays`` call at (x, z) in
+    {(0, 0), (1, 0), (-1, 0), (0, 1)}; hz_unit is h(0, 1) - h(0, 0).
+    ``phase`` is the phase of the largest of A, B and C, and a ValueError
+    is raised if what is left after taking it out is not real to 1e-12 of
+    that largest value.
     """
     import numpy as np
-    x = np.repeat([0j, 1 + 0j, -1 + 0j], len(c))
-    a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(np.tile(c, 3), x))
-    h0 = (a2 * a4 - a3 * a3).reshape(3, -1)  # at x = 0, 1, -1
-    abc = np.stack((h0[0], 0.5 * (h0[1] - h0[2]), 0.5 * (h0[1] + h0[2]) - h0[0]))
+    x = np.repeat([0j, 1 + 0j, -1 + 0j, 0j], len(c))
+    z = np.repeat([0j, 0j, 0j, 1 + 0j], len(c))
+    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(np.tile(c, 4), x, z))
+    h = (a2 * a4 - a3 * a3).reshape(4, -1)  # at (x, z) = (0, 0), (1, 0), (-1, 0), (0, 1)
+    abc = np.stack((h[0], 0.5 * (h[1] - h[2]), 0.5 * (h[1] + h[2]) - h[0]))
     largest = np.take_along_axis(abc, np.argmax(np.abs(abc), axis=0)[None, :], axis=0)[0]
     size = np.abs(largest)
     phase = np.where(size > 0, largest / np.where(size > 0, size, 1.0), 1.0)
@@ -167,8 +159,7 @@ def _quadratic_in_x(spec: ClassSpec, c, slope: complex):
             f"h0 of {spec.describe()} at c={float(c[ic])!r} is not a quadratic with one phase: "
             f"an imaginary part {float(residual[ic])!r} is left of {float(size[ic])!r}"
         )
-    hz_unit = np.broadcast_to(a2, x.shape)[: len(c)] * slope * (0.5 * (4.0 - c * c))
-    return phase, abc.real, hz_unit
+    return phase, abc.real, h[3] - h[0]
 
 
 def _lemma_case(A: float, B: float, C: float, D: float) -> tuple[int, float, complex]:
@@ -229,8 +220,7 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         raise ValueError(f"grid too large: n_r * n_theta must be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
-    slope = _a4_slope(spec)
-    phase, abc, hz_unit = _quadratic_in_x(spec, c_values, slope)
+    phase, abc, hz_unit = _quadratic_in_x(spec, c_values)
     table = np.vstack((abc, np.abs(hz_unit)))  # rows A, B, C, D
     # a power of two per c brings its table to order 1 exactly, so the
     # lemma's fourth powers neither overflow nor underflow
@@ -246,7 +236,7 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     h0 = complex(phase[best_ic]) * (A + (B + C * best_x) * best_x)
     hz = complex(hz_unit[best_ic]) * float(_disk_weight(best_x))
     argmax = CaratheodoryPoint(c=c, x=best_x, z=_maximising_z(h0, hz))
-    _check_rings(spec, c, slope, (n_r, n_t), best_value)
+    _check_rings(spec, c, abs(complex(hz_unit[best_ic])), (n_r, n_t), best_value)
     _check_affine_step(spec, argmax, best_value)
     violations = check_mu_monotone(spec)
     return VerificationReport(
@@ -259,10 +249,11 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     )
 
 
-def _check_rings(spec: ClassSpec, c: float, slope: complex, rings: tuple[int, int], value: float) -> None:
-    """Raise a ValueError if |h0| + |hz| at x = 0 or on the full circle of
-    rings 1..n_r-1, n_theta angles each, beats ``value`` by more than 1e-12
-    of it at this c.  The points are evaluated ``_BLOCK`` at a time."""
+def _check_rings(spec: ClassSpec, c: float, d: float, rings: tuple[int, int], value: float) -> None:
+    """Raise a ValueError if |h0| + d (1 - |x|^2), with d = |hz_unit| at this
+    c, at x = 0 or on the full circle of rings 1..n_r-1, n_theta angles each,
+    beats ``value`` by more than 1e-12 of it.  The points are evaluated
+    ``_BLOCK`` at a time."""
     import numpy as np
     n_r, n_t = rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
@@ -270,7 +261,7 @@ def _check_rings(spec: ClassSpec, c: float, slope: complex, rings: tuple[int, in
     found = []
     for x in np.split(points, range(_BLOCK, len(points), _BLOCK)):
         a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
-        values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * _disk_weight(x)
+        values = np.abs(a2 * a4 - a3 * a3) + d * _disk_weight(x)
         ix = int(np.argmax(values))
         found.append((float(values[ix]), complex(x[ix])))
     best, best_x = max(found, key=lambda f: f[0])  # the first on a tie, as one argmax
@@ -289,7 +280,7 @@ def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) 
     if not abs(direct - value) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2):
         raise ValueError(
             f"grid value {value!r} of {spec.describe()} at c={point.c!r}, x={point.x!r}, z={point.z!r} "
-            f"is {direct!r} when evaluated directly: a4 is not affine in c3, or the lemma overstates"
+            f"is {float(direct)!r} when evaluated directly: a4 is not affine in c3, or the lemma overstates"
         )
 
 

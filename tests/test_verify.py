@@ -13,7 +13,6 @@ from hankelbound.verify import (
     DEFAULT_GRID,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
-    _a4_slope,
     _check_rings,
     _disk_samples,
     _lemma,
@@ -407,10 +406,10 @@ class TestMirrorHalf:
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, (8, 8, 9), (16, 8, 16)])
     def test_points_per_c(self, monkeypatch, grid):
-        # the slope read, one call on x in {0, 1, -1} for every c, the full
-        # rings at the reported c in one call of x = 0 and every ring, as each
-        # of these grids has at most _BLOCK ring points, then the guard's one
-        # scalar point
+        # one call on (x, z) in {(0, 0), (1, 0), (-1, 0), (0, 1)} for every c,
+        # the full rings at the reported c in one call of x = 0 and every
+        # ring, as each of these grids has at most _BLOCK ring points, then
+        # the guard's one scalar point
         shapes = []
 
         def spy(spec, c1, c2, c3):
@@ -421,7 +420,7 @@ class TestMirrorHalf:
         n_c, n_r, n_t = grid
         ring = 1 + (n_r - 1) * n_t
         hb.empirical_sup(hb.starlike(hb.preset("lemniscate")), grid=grid)
-        assert shapes == [((2,), (2,), (2,)), ((3 * n_c,),) * 3, ((), (ring,), (ring,)), ((), (), ())]
+        assert shapes == [((4 * n_c,),) * 3, ((), (ring,), (ring,)), ((), (), ())]
 
 
 class TestLemma:
@@ -499,8 +498,7 @@ class TestQuadraticInX:
     def test_verifier_reads_the_same_quadratic(self, kind, rng):
         spec = random_spec(rng, kind)
         c = np.linspace(0.0, 2.0, 64)
-        slope = _a4_slope(spec)
-        phase, abc, hz_unit = _quadratic_in_x(spec, c, slope)
+        phase, abc, hz_unit = _quadratic_in_x(spec, c)
         for mine, theirs in zip(abc, _quadratic_parts(spec, c)):
             np.testing.assert_allclose(phase * mine, theirs, rtol=1e-13, atol=1e-15)
         _, hz = _affine_parts(spec, c, np.zeros_like(c, dtype=complex))
@@ -552,8 +550,10 @@ class TestGuards:
             return factor * value, x
 
         monkeypatch.setattr("hankelbound.verify._lemma", misstated)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as refused:
             hb.empirical_sup(hb.starlike(hb.preset("lemniscate")))
+        # the CLI prints the message as it is, so it shows plain numbers
+        assert "np." not in str(refused.value)
 
     def test_rings_reach_the_lemma_on_presets(self):
         # the ring check has room: its best point is within 1e-3 of the lemma
@@ -586,13 +586,13 @@ class TestGuards:
         for _ in range(5):
             spec = random_spec(rng, kind)
             c = float(rng.uniform(0, 2))
-            slope = _a4_slope(spec)
+            d = abs(complex(_quadratic_in_x(spec, np.array([c]))[2][0]))
             a2, a3, a4 = coefficient_arrays(spec, *hb.verify._expand_at_zero(c, x))
-            values = np.abs(a2 * a4 - a3 * a3) + np.abs(a2 * slope) * (0.5 * (4.0 - c * c)) * hb.verify._disk_weight(x)
+            values = np.abs(a2 * a4 - a3 * a3) + d * hb.verify._disk_weight(x)
             ix = int(np.argmax(values))
             sizes.clear()
             with pytest.raises(ValueError) as refused:
-                _check_rings(spec, c, slope, (n_r, n_t), 0.0)
+                _check_rings(spec, c, d, (n_r, n_t), 0.0)
             assert len(sizes) == 2 and max(sizes) < 8192
             found = re.search(r"ring value (\S+) of .* x=(\S+) beats", str(refused.value))
             assert float(found[1]) == float(values[ix])
@@ -601,9 +601,11 @@ class TestGuards:
 
 def _check_a4_affine_in_c3(spec, rng):
     """At 200 seeded points, moving c3 by d leaves a2 and a3 alone and moves
-    a4 by slope * d, through the coefficient_arrays the verifier uses."""
+    a4 by slope * d, with the slope read at c1 = c2 = 0, and moving c2 leaves
+    a2 alone, through the coefficient_arrays the verifier uses."""
     coefficients = hb.verify.coefficient_arrays
-    slope = _a4_slope(spec)
+    _, _, a4 = coefficients(spec, 0j, 0j, np.array([0j, 1 + 0j]))
+    slope = complex(a4[1] - a4[0])
     c = rng.uniform(0, 2, 200)
     x = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
     z = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
@@ -614,11 +616,14 @@ def _check_a4_affine_in_c3(spec, rng):
     np.testing.assert_allclose(b2, a2, rtol=1e-13, atol=0)
     np.testing.assert_allclose(b3, a3, rtol=1e-13, atol=0)
     np.testing.assert_allclose(b4, a4 + slope * d, rtol=1e-13, atol=1e-13 * abs(slope))
+    # the rings scale the z-term read at x = 0 by 1 - |x|^2, so a2 is free of x
+    moved, _, _ = coefficients(spec, c1, c2 + d, c3)
+    np.testing.assert_allclose(moved, a2, rtol=1e-13, atol=0)
 
 
 class TestAffineInC3:
-    """The verifier evaluates each grid point at z = 0 and takes the z-term
-    from a4's c3-slope, which rests on a4 = slope * c3 + f(c1, c2)."""
+    """The verifier reads the z-term at x = 0 and scales it by 1 - |x|^2,
+    which rests on a4 = slope(c1) * c3 + f(c1, c2) and a2 free of c2."""
 
     @pytest.mark.parametrize("kind", hb.classes.KINDS)
     def test_a4_is_affine_in_c3(self, kind, rng):
@@ -650,7 +655,10 @@ class TestAffineInC3:
         for name in ("verify.majorant_surface", "verify.second_hankel_bound",
                      "bounds.profile", "bounds.majorant_weights"):
             monkeypatch.setattr(f"hankelbound.{name}", None)
-        assert _a4_slope(spec) == pytest.approx(expected, rel=1e-15)
+        # hz_unit = a2 slope (4 - c^2) / 2, here at c = 1
+        hz_unit = complex(_quadratic_in_x(spec, np.array([1.0]))[2][0])
+        a2 = complex(coefficient_arrays(spec, 1 + 0j, 0j, 0j)[0])
+        assert hz_unit / (1.5 * a2) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("kind", hb.classes.KINDS)
     def test_sup_is_found_without_the_bound_path(self, kind, monkeypatch, rng):
@@ -670,15 +678,40 @@ class TestAffineInC3:
         assert (report.empirical_sup, report.argmax) == (expected.empirical_sup, expected.argmax)
 
     def test_guard_refuses_a4_not_affine_in_c3(self, monkeypatch):
-        # a4 = c3^2 at c = 0 and 0 elsewhere: the slope read at c3 in {0, 1}
-        # gives 1, so the grid's affine value peaks at 2 at (c, x) = (0, 0),
-        # where c3 = 2z and the direct value is 4
+        # a4 = c3^2 + i at c = 0 and 0 elsewhere: at x = 0, c3 = 2z, so the
+        # chord through z in {0, 1} gives h0 = i and hz_unit = 4, and the grid's
+        # affine value peaks at 5 at (c, x, z) = (0, 0, i), where the direct
+        # value is |-4 + i| = sqrt(17)
         def quadratic_c3(spec, c1, c2, c3):
-            return np.ones_like(c3), np.zeros_like(c3), c3 * c3 * (c1 == 0)
+            return np.ones_like(c3), np.zeros_like(c3), (c3 * c3 + 1j) * (c1 == 0)
 
         monkeypatch.setattr("hankelbound.verify.coefficient_arrays", quadratic_c3)
         with pytest.raises(ValueError, match="a4 is not affine in c3"):
             hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, 8))
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_sup_follows_a_c1_dependent_slope(self, kind, monkeypatch):
+        # a4 gains 5 c1 (c3 - c3 at z = 0), with c3 at z = 0 recovered from
+        # (c1, c2): h0 is unchanged, but a4's c3-slope grows with c1, so a
+        # z-term read at c1 = 0 alone would miss most of the supremum
+        def c1_dependent_slope(spec, c1, c2, c3):
+            a2, a3, a4 = coefficient_arrays(spec, c1, c2, c3)
+            s = 4.0 - c1 * c1
+            x = (2.0 * c2 - c1 * c1) / np.where(s == 0, 1.0, s)  # c3 is 2 at c1 = 2
+            return a2, a3, a4 + 5.0 * c1 * (c3 - expand_arrays(c1, x, 0j)[2])
+
+        spec = hb.ClassSpec(kind, hb.preset("halfplane"))
+        # 64 x 64 polar x points crossed with 32 z on the circle, at the grid's c
+        angles = np.exp(2j * np.pi * np.arange(64) / 64)
+        x = (np.linspace(0.0, 1.0, 64)[:, None] * angles[None, :]).reshape(-1, 1)
+        z = np.exp(2j * np.pi * np.arange(32) / 32)[None, :]
+        brute = 0.0
+        for c in np.linspace(0.0, 2.0, 16):
+            a2, a3, a4 = c1_dependent_slope(spec, *expand_arrays(c, x, z))
+            brute = max(brute, float(np.max(np.abs(a2 * a4 - a3 * a3))))
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", c1_dependent_slope)
+        sup = hb.empirical_sup(spec, grid=(16, 8, 16)).empirical_sup
+        assert brute * (1 - 1e-12) <= sup <= brute * (1 + 1e-2)
 
 
 class TestMuMonotone:

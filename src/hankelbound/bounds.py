@@ -270,10 +270,10 @@ def majorant_surface(spec: ClassSpec, c, mu):
 def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     """The upper bound for |a2 a4 - a3^2| over the class.
 
-    ``bound`` is the larger of the paper-form value T * max P t^2 + Q t + R
-    (``closed_form_value``, labelled by ``branch``) and the certified value
-    from ``certified_quadratic``; ties go to the paper-form value.  The
-    certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
+    ``bound`` is the largest of the paper-form value T * max P t^2 + Q t + R,
+    enumerated or as ``closed_form_value`` (labelled by ``branch``), and the
+    certified value from ``certified_quadratic``; ties go to the paper form.
+    The certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
     12 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha, so convex
     8/3 >= 2, all in units of B1); a ValueError is raised if that premise
     ever fails.  A ValueError is also raised when a value overflows or is
@@ -282,6 +282,9 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
     """
     try:
         prof = profile(spec)
+        if math.isnan(prof.P) or math.isnan(prof.Q):
+            # quad_max would find no region of a nan quadratic
+            raise ValueError(f"bound of {spec.describe()} is not finite at this target's magnitude")
         branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
         paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
         closed = _closed_form(spec, branch)
@@ -303,7 +306,7 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
             f"paper-form values of {spec.describe()} disagree at this target's magnitude: "
             f"closed form {closed!r}, region {region!r}, endpoint/vertex {paper!r}"
         )
-    bound = max(paper, certified)
+    bound = max(paper, closed, certified)
     return BoundResult(
         bound=bound,
         branch=branch,

@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
         help="points along c; NR rings x NT angles cross-check the reported c (x and z are maximised exactly); "
-        f"at most {verify.MAX_GRID_POINTS} points in all and {verify.MAX_SLICE_POINTS} (NR * NT) in the rings",
+        f"NC * NR * NT at most {verify.MAX_GRID_POINTS} and NR * NT at most {verify.MAX_SLICE_POINTS}; "
+        "evaluates 4 NC points, then 1 + (NR - 1) NT ring points",
     )
     p_verify.add_argument(
         "--tol",

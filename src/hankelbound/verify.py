@@ -83,9 +83,9 @@ class CaratheodoryPoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.c <= 2.0:
             raise ValueError(f"c must lie in [0, 2], got {self.c!r}")
-        if abs(self.x) > 1.0 + 1e-12:
+        if not abs(self.x) <= 1.0 + 1e-12:
             raise ValueError(f"|x| must be at most 1, got {abs(self.x)!r}")
-        if abs(self.z) > 1.0 + 1e-12:
+        if not abs(self.z) <= 1.0 + 1e-12:
             raise ValueError(f"|z| must be at most 1, got {abs(self.z)!r}")
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "x", complex(self.x))
@@ -143,10 +143,10 @@ def _quadratic_in_x(spec: ClassSpec, c):
     that largest value.
     """
     import numpy as np
-    x = np.repeat([0j, 1 + 0j, -1 + 0j, 0j], len(c))
-    z = np.repeat([0j, 0j, 0j, 1 + 0j], len(c))
-    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(np.tile(c, 4), x, z))
-    h = (a2 * a4 - a3 * a3).reshape(4, -1)  # at (x, z) = (0, 0), (1, 0), (-1, 0), (0, 1)
+    x = np.array([[0j], [1 + 0j], [-1 + 0j], [0j]])
+    z = np.array([[0j], [0j], [0j], [1 + 0j]])
+    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, z))
+    h = a2 * a4 - a3 * a3  # rows at (x, z) = (0, 0), (1, 0), (-1, 0), (0, 1)
     abc = np.stack((h[0], 0.5 * (h[1] - h[2]), 0.5 * (h[1] + h[2]) - h[0]))
     largest = np.take_along_axis(abc, np.argmax(np.abs(abc), axis=0)[None, :], axis=0)[0]
     size = np.abs(largest)
@@ -192,11 +192,6 @@ def _lemma_case(A: float, B: float, C: float, D: float) -> tuple[int, float, com
     return 7, (ac + aa) * math.sqrt(1.0 - B * B / (4.0 * A * C)), complex(u, math.sqrt(1.0 - u * u))
 
 
-def _lemma(A: float, B: float, C: float, D: float) -> tuple[float, complex]:
-    """(value, x) of ``_lemma_case``."""
-    return _lemma_case(A, B, C, D)[1:]
-
-
 def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) -> VerificationReport:
     """Maximum of |a2 a4 - a3^2| over a grid in c, exactly in x and z, with
     its margin against the reported bound.
@@ -205,8 +200,8 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     the x disk and angles on each ring for the ring check at the reported c;
     at most ``MAX_GRID_POINTS`` in all and ``MAX_SLICE_POINTS``
     (n_r * n_theta) in the ring check.  At each c the maximum over both
-    disks is ``_lemma`` of the A, B, C and D of ``_quadratic_in_x`` (module
-    docstring), and ``argmax`` is the best c with its maximiser x,
+    disks is ``_lemma_case`` of the A, B, C and D of ``_quadratic_in_x``
+    (module docstring), and ``argmax`` is the best c with its maximiser x,
     Im x >= 0, and the maximising z.
 
     Two guards raise a ValueError: the ring points at the reported c must
@@ -228,7 +223,7 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
 
     best_value, best_ic, best_x = -1.0, 0, 0j
     for ic, (A, B, C, D, m) in enumerate(zip(*(table / scale).tolist(), scale.tolist())):
-        value, x = _lemma(A, B, C, D)
+        _, value, x = _lemma_case(A, B, C, D)
         if value * m > best_value:
             best_value, best_ic, best_x = value * m, ic, x
     c = float(c_values[best_ic])

@@ -249,7 +249,8 @@ class TestSecondHankelBound:
             for _ in range(200):
                 r = hb.second_hankel_bound(random_spec(rng, kind))
                 paper = r.profile.T * hb.robust_quad_max(r.profile.P, r.profile.Q, r.profile.R)
-                assert r.bound == max(paper, r.certified_value)
+                assert r.bound == max(paper, r.closed_form_value, r.certified_value)
+                assert r.bound >= r.closed_form_value
 
     def test_certified_covers_unsound_closed_form(self):
         # c1 = 2 gives |a2 a4 - a3^2| = 16/3 for this target

@@ -198,6 +198,21 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert payload["margin"] >= -1e-9 * payload["bound"]
 
+    @pytest.mark.parametrize(
+        "preset", [["order_alpha", "--alpha", "0.25"], ["parabolic"]], ids=["order_alpha", "parabolic"]
+    )
+    def test_bound_at_its_closed_form_passes_with_no_tolerance(self, capsys, preset):
+        # the endpoint/vertex enumeration reads an ulp below the closed form
+        # here, which the grid attains
+        code, out, _ = run_cli(
+            capsys, "verify", "--preset", *preset, "--class", "rgt", "--gamma", "0.5",
+            "--grid", "16,8,16", "--samples", "10", "--tol", "0", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["margin"] >= 0
+
     @pytest.mark.parametrize("shortfall, expected", [(2e-9, 1), (5e-10, 0)])
     def test_tol_is_absolute_for_order_one_bounds(self, capsys, monkeypatch, shortfall, expected):
         argv = (
@@ -687,9 +702,10 @@ class TestFailureContract:
              "sweep variable gamma needs a phi source"),
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
             (["verify", "--preset", "halfplane", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+            (["bound", "--custom", "1,1e200,1e308"], "bound of starlike is not finite at this target's magnitude"),
         ],
         ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list",
-             "negative_seed"],
+             "negative_seed", "nan_quadratic"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
         list_file = tmp_path / "phi.json"

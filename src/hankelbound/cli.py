@@ -307,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=verify.DEFAULT_GRID,
         metavar="NC,NR,NT",
         help="points along c; NR rings x NT angles cross-check the reported c (x and z are maximised exactly); "
-        f"NC * NR * NT at most {verify.MAX_GRID_POINTS} and NR * NT at most {verify.MAX_SLICE_POINTS}; "
-        "evaluates 4 NC points, then 1 + (NR - 1) NT ring points",
+        f"evaluates 4 NC points, then 1 + (NR - 1) NT ring points; 4 NC and NR * NT each at most {verify.MAX_SLICE_POINTS}",
     )
     p_verify.add_argument(
         "--tol",

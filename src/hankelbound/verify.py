@@ -36,17 +36,18 @@ the certified value is maximised through, peaks at mu = 1.
 
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
 points: |c2| and |c3| stay at most 2.  c3 is affine in z, so its points are
-(c, x) pairs crossed with shared z points.  Work is capped: at most
-``MAX_GRID_POINTS`` grid points, ``MAX_SLICE_POINTS`` ring points at the
-reported c, and ``MAX_SAMPLES`` samples, refused with a ``ValueError``
-before anything is built.  numpy is imported by the functions that use it,
-not by this module, so ``import hankelbound`` and the ``bound``, ``series``
-and ``sweep`` commands run without it.
+(c, x) pairs crossed with shared z points.  Work is capped: no array holds
+more than ``MAX_SLICE_POINTS`` points, and at most ``MAX_SAMPLES`` samples
+are drawn, refused with a ``ValueError`` before anything is built.  numpy is
+imported by the functions that use it, not by this module, so ``import
+hankelbound`` and the ``bound``, ``series`` and ``sweep`` commands run
+without it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .bounds import majorant_surface, second_hankel_bound
@@ -56,10 +57,8 @@ DEFAULT_GRID = (64, 32, 64)
 DEFAULT_MU_GRID = (64, 64)
 DEFAULT_SEED = 1729
 _MIN_GRID = 8
-MAX_GRID_POINTS = 2**24
-# memory follows the ring check's n_r * n_theta points at one c: built at once,
-# about 32 B each (tracemalloc peak), then evaluated _BLOCK at a time, so 2^16
-# of them is about 2.1 MB
+# the most points in any array the verifier builds (4 n_c, n_r * n_theta or
+# n_c * n_mu); at 2^16 points each traces a peak of at most 8.3 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # at most this many points per array call, ring points or a sample block's
@@ -198,8 +197,8 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
 
     ``grid`` is (n_c, n_r, n_theta): points along c in [0, 2], then rings of
     the x disk and angles on each ring for the ring check at the reported c;
-    at most ``MAX_GRID_POINTS`` in all and ``MAX_SLICE_POINTS``
-    (n_r * n_theta) in the ring check.  At each c the maximum over both
+    4 n_c and n_r * n_theta each at most ``MAX_SLICE_POINTS``, since those
+    are the arrays it builds.  At each c the maximum over both
     disks is ``_lemma_case`` of the A, B, C and D of ``_quadratic_in_x``
     (module docstring), and ``argmax`` is the best c with its maximiser x,
     Im x >= 0, and the maximising z.
@@ -210,9 +209,9 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     match it to 1e-12 of |a2 a4| + |a3|^2 there (the lemma or affine step overstates).
     """
     import numpy as np
-    n_c, n_r, n_t = _grid_sizes(grid, "n_c * n_r * n_theta")
-    if n_r * n_t > MAX_SLICE_POINTS:
-        raise ValueError(f"grid too large: n_r * n_theta must be at most {MAX_SLICE_POINTS}")
+    n_c, n_r, n_t = _grid_sizes(grid)
+    if max(4 * n_c, n_r * n_t) > MAX_SLICE_POINTS:
+        raise ValueError(f"grid too large: 4 n_c and n_r * n_theta must each be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
     phase, abc, hz_unit = _quadratic_in_x(spec, c_values)
@@ -253,13 +252,13 @@ def _check_rings(spec: ClassSpec, c: float, d: float, rings: tuple[int, int], va
     n_r, n_t = rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
     points = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
-    found = []
+    best, best_x = -1.0, 0j
     for x in np.split(points, range(_BLOCK, len(points), _BLOCK)):
         a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
         values = np.abs(a2 * a4 - a3 * a3) + d * _disk_weight(x)
         ix = int(np.argmax(values))
-        found.append((float(values[ix]), complex(x[ix])))
-    best, best_x = max(found, key=lambda f: f[0])  # the first on a tie, as one argmax
+        if values[ix] > best:  # strict, so the first on a tie wins, as one argmax
+            best, best_x = float(values[ix]), complex(x[ix])
     if best > value * (1.0 + 1e-12):
         raise ValueError(
             f"ring value {best!r} of {spec.describe()} at c={c!r}, x={best_x!r} "
@@ -279,14 +278,14 @@ def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) 
         )
 
 
-def _grid_sizes(grid, product: str) -> tuple[int, ...]:
-    """``grid`` as ints, refused unless every axis has at least ``_MIN_GRID``
-    points and their ``product`` is at most ``MAX_GRID_POINTS``."""
-    sizes = tuple(int(v) for v in grid)
+def _grid_sizes(grid) -> tuple[int, ...]:
+    """``grid`` as ints, refused unless every axis is an integer of at least ``_MIN_GRID``."""
+    try:
+        sizes = tuple(map(operator.index, grid))
+    except TypeError:
+        raise ValueError(f"grid axes must be integers, got {grid!r}") from None
     if min(sizes) < _MIN_GRID:
         raise ValueError(f"grid too small: need at least {_MIN_GRID} points per axis")
-    if math.prod(sizes) > MAX_GRID_POINTS:
-        raise ValueError(f"grid too large: {product} must be at most {MAX_GRID_POINTS}")
     return sizes
 
 
@@ -304,11 +303,13 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
 
     At c = 2 the surface is constant in mu (every 4 - c^2 factor vanishes),
     which is not a violation; the comparison is non-strict with a tiny slack.
-    ``grid`` is (n_c, n_mu), each at least ``_MIN_GRID`` and at most
-    ``MAX_GRID_POINTS`` in all, refused with a ``ValueError`` otherwise.
+    ``grid`` is (n_c, n_mu), each at least ``_MIN_GRID`` and n_c * n_mu at
+    most ``MAX_SLICE_POINTS``, refused with a ``ValueError`` otherwise.
     """
     import numpy as np
-    n_c, n_mu = _grid_sizes(grid, "n_c * n_mu")
+    n_c, n_mu = _grid_sizes(grid)
+    if n_c * n_mu > MAX_SLICE_POINTS:
+        raise ValueError(f"grid too large: n_c * n_mu must be at most {MAX_SLICE_POINTS}")
     c = np.linspace(0.0, 2.0, n_c)[:, None]
     mu = np.linspace(0.0, 1.0, n_mu)[None, :]
     surface = majorant_surface(spec, c, mu)

@@ -11,8 +11,8 @@ from hankelbound.classes import coefficient_arrays
 from hankelbound.verify import (
     _RIDE_ALONG,
     DEFAULT_GRID,
-    MAX_GRID_POINTS,
     MAX_SAMPLES,
+    MAX_SLICE_POINTS,
     _check_rings,
     _disk_samples,
     _lemma_case,
@@ -263,9 +263,49 @@ class TestEmpiricalSup:
             hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(4, 32, 64))
 
     def test_grid_point_count_capped(self):
-        # refused before the grid is built: 64 * 262,145 points exceed the cap
+        # refused before the rings are built: 8 * 8,193 ring points exceed the cap
         with pytest.raises(ValueError, match="grid too large"):
-            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, MAX_GRID_POINTS // 64 + 1))
+            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, MAX_SLICE_POINTS // 8 + 1))
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [((2**18, 8, 8), "too large"), ((MAX_SLICE_POINTS // 4 + 1, 8, 8), "too large"),
+         ((64.7, 32.9, 64), "axes must be integers"), ((64, 32, np.float64(64)), "axes must be integers")],
+    )
+    def test_grid_refused_before_any_array(self, monkeypatch, grid, message):
+        # an array built past the size check, or a grid run at truncated
+        # axes, fails the test instead of refusing it
+        def never(*args):
+            raise AssertionError("array built for a refused grid")
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", never)
+        monkeypatch.setattr("hankelbound.verify.majorant_surface", never)
+        with pytest.raises(ValueError, match=f"grid {message}"):
+            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=grid)
+
+    def test_numpy_int_grid_accepted(self):
+        spec = hb.starlike(hb.preset("lemniscate"))
+        report = hb.empirical_sup(spec, grid=tuple(np.int64(n) for n in (16, 8, 16)))
+        assert report.grid_sizes == (16, 8, 16)
+        assert report == hb.empirical_sup(spec, grid=(16, 8, 16))
+
+    def test_largest_rings_match_the_smallest(self):
+        # n_r * n_theta at the cap moves neither the value nor its point
+        spec = hb.starlike(hb.preset("lemniscate"))
+        coarse, fine = (hb.empirical_sup(spec, grid=(4096, n, n)) for n in (8, 256))
+        assert (fine.empirical_sup, fine.argmax) == (coarse.empirical_sup, coarse.argmax)
+
+    def test_memory_at_the_cap(self):
+        # the largest accepted grids trace a few MB, whatever their rings
+        spec = hb.starlike(hb.preset("lemniscate"))
+        for grid in ((MAX_SLICE_POINTS // 4, 8, 8), (MAX_SLICE_POINTS // 4, 256, 256)):
+            tracemalloc.start()
+            try:
+                hb.empirical_sup(spec, grid=grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6, grid
 
     def test_trivial_origin_grid_gives_zero(self):
         # single admissible point c = 0, x = 0 makes f(z) = z
@@ -732,11 +772,11 @@ class TestMuMonotone:
     @pytest.mark.parametrize(
         "grid, message",
         [((0, 0), "too small"), ((1, 1), "too small"), ((8, 7), "too small"), ((-3, 5), "too small"),
-         ((2**13, 2**12), "too large")],
+         ((2**13, 2**12), "too large"), ((4096, 4096), "too large"), ((64.9, 8.5), "axes must be integers")],
     )
     def test_grid_refused_before_any_array(self, monkeypatch, grid, message):
         # a surface built past the size check fails the test instead of
-        # allocating 2^25 points
+        # allocating up to 2^25 points, or running at a truncated grid
         def never(*args):
             raise AssertionError("majorant surface built for a refused grid")
 

@@ -40,8 +40,8 @@ points: |c2| and |c3| stay at most 2.  c3 is affine in z, so its points are
 more than ``MAX_SLICE_POINTS`` points, and at most ``MAX_SAMPLES`` samples
 are drawn, refused with a ``ValueError`` before anything is built.  numpy is
 imported by the functions that use it, not by this module, so ``import
-hankelbound`` and the ``bound``, ``series`` and ``sweep`` commands run
-without it.
+hankelbound``, the ``bound``, ``series`` and ``sweep`` commands, and
+``expand_arrays`` on plain numbers run without it.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ _MIN_GRID = 8
 # n_c * n_mu); at 2^16 points each traces a peak of at most 8.3 MB
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
-# at most this many points per array call, ring points or a sample block's
-# (256, 16) pairs x z: a complex temporary is then at most 64 KB, under
-# glibc's 128 KB mmap threshold
+# at most this many points per expand_arrays call, a slice of the ring check
+# at z = 0 or a sample block's (256, 16) pairs x z: a complex temporary is
+# then at most 64 KB, under glibc's 128 KB mmap threshold
 _BLOCK = 4096
 _Z_PER_PAIR = 16
 # Boundary points (c, x, z), stored column-wise: (2, 0.25+0.5i, 0.5i) gives
@@ -107,27 +107,21 @@ class VerificationReport:
     monotonicity_violations: int
 
 
-def _expand_at_zero(c, x):
-    """(c1, c2, c3) at z = 0; broadcasts like numpy."""
-    s = 4.0 - c * c
-    return c + 0j, 0.5 * (c * c + x * s), 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x)
-
-
 def _disk_weight(x):
     """1 - |x|^2, written (1 - |x|)(1 + |x|) so it vanishes exactly on the
     unit circle whenever |x| is exactly representable."""
-    import numpy as np
-    ax = np.abs(x)
+    ax = abs(x)
     return (1.0 - ax) * (1.0 + ax)
 
 
 def expand_arrays(c, x, z):
-    """(c1, c2, c3) from grid arrays of c, x, z; broadcasts like numpy.
+    """(c1, c2, c3) from c, x, z, arrays or plain numbers; broadcasts like numpy.
 
     c3 is its z = 0 value plus the z-term (4 - c^2)(1 - |x|^2) z / 2.
     """
-    c1, c2, c3 = _expand_at_zero(c, x)
-    return c1, c2, c3 + 0.5 * (4.0 - c * c) * _disk_weight(x) * z
+    s = 4.0 - c * c
+    c3 = 0.25 * (c * c * c + 2.0 * s * c * x - c * s * x * x) + 0.5 * s * _disk_weight(x) * z
+    return c + 0j, 0.5 * (c * c + x * s), c3
 
 
 def _quadratic_in_x(spec: ClassSpec, c):
@@ -203,13 +197,14 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     (module docstring), and ``argmax`` is the best c with its maximiser x,
     Im x >= 0, and the maximising z.
 
-    Two guards raise a ValueError: the ring points at the reported c must
-    not beat that value by more than 1e-12 of it (the lemma understates),
-    and the value re-evaluated at ``argmax`` through ``expand_arrays`` must
-    match it to 1e-12 of |a2 a4| + |a3|^2 there (the lemma or affine step overstates).
+    One guard pass at the reported c, ``_check_at_c``, raises a ValueError
+    in either direction: if a ring point beats that value by more than 1e-12
+    of it (the lemma understates), and then if the value re-evaluated at
+    ``argmax`` misses it by more than 1e-12 of |a2 a4| + |a3|^2 there (the
+    lemma or affine step overstates).
     """
     import numpy as np
-    n_c, n_r, n_t = _grid_sizes(grid)
+    n_c, n_r, n_t = _grid_sizes(grid, 3)
     if max(4 * n_c, n_r * n_t) > MAX_SLICE_POINTS:
         raise ValueError(f"grid too large: 4 n_c and n_r * n_theta must each be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
@@ -228,10 +223,9 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     c = float(c_values[best_ic])
     A, B, C = abc[:, best_ic]
     h0 = complex(phase[best_ic]) * (A + (B + C * best_x) * best_x)
-    hz = complex(hz_unit[best_ic]) * float(_disk_weight(best_x))
+    hz = complex(hz_unit[best_ic]) * _disk_weight(best_x)
     argmax = CaratheodoryPoint(c=c, x=best_x, z=_maximising_z(h0, hz))
-    _check_rings(spec, c, abs(complex(hz_unit[best_ic])), (n_r, n_t), best_value)
-    _check_affine_step(spec, argmax, best_value)
+    _check_at_c(spec, argmax, abs(complex(hz_unit[best_ic])), (n_r, n_t), best_value)
     violations = check_mu_monotone(spec)
     return VerificationReport(
         empirical_sup=best_value,
@@ -243,18 +237,21 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     )
 
 
-def _check_rings(spec: ClassSpec, c: float, d: float, rings: tuple[int, int], value: float) -> None:
-    """Raise a ValueError if |h0| + d (1 - |x|^2), with d = |hz_unit| at this
-    c, at x = 0 or on the full circle of rings 1..n_r-1, n_theta angles each,
-    beats ``value`` by more than 1e-12 of it.  The points are evaluated
-    ``_BLOCK`` at a time."""
+def _check_at_c(spec: ClassSpec, point: CaratheodoryPoint, d: float, rings: tuple[int, int], value: float) -> None:
+    """Raise a ValueError if the lemma's ``value`` at ``point.c`` is off in
+    either direction, both read through ``expand_arrays``: |h0| + d (1 - |x|^2),
+    with d = |hz_unit| at this c, at z = 0 on x = 0 and the full circle of
+    rings 1..n_r-1, n_theta angles each, ``_BLOCK`` points at a time, beats
+    it by more than 1e-12 of it (the lemma understates), or |a2 a4 - a3^2|
+    at ``point`` misses it by more than 1e-12 of its terms' size (a4 is not
+    affine in c3, or the lemma overstates)."""
     import numpy as np
-    n_r, n_t = rings
+    c, (n_r, n_t) = point.c, rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
     points = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
     best, best_x = -1.0, 0j
     for x in np.split(points, range(_BLOCK, len(points), _BLOCK)):
-        a2, a3, a4 = coefficient_arrays(spec, *_expand_at_zero(c, x))
+        a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, 0.0))
         values = np.abs(a2 * a4 - a3 * a3) + d * _disk_weight(x)
         ix = int(np.argmax(values))
         if values[ix] > best:  # strict, so the first on a tie wins, as one argmax
@@ -264,24 +261,25 @@ def _check_rings(spec: ClassSpec, c: float, d: float, rings: tuple[int, int], va
             f"ring value {best!r} of {spec.describe()} at c={c!r}, x={best_x!r} "
             f"beats the lemma's {value!r}: the lemma understates"
         )
-
-
-def _check_affine_step(spec: ClassSpec, point: CaratheodoryPoint, value: float) -> None:
-    """Raise a ValueError unless |a2 a4 - a3^2| at ``point``, through the full
-    expansion with no affine step, is ``value`` to 1e-12 of its terms' size."""
-    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(point.c, point.x, point.z))
+    a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, point.x, point.z))
     direct = abs(a2 * a4 - a3 * a3)
     if not abs(direct - value) <= 1e-12 * (abs(a2 * a4) + abs(a3) ** 2):
         raise ValueError(
-            f"grid value {value!r} of {spec.describe()} at c={point.c!r}, x={point.x!r}, z={point.z!r} "
+            f"grid value {value!r} of {spec.describe()} at c={c!r}, x={point.x!r}, z={point.z!r} "
             f"is {float(direct)!r} when evaluated directly: a4 is not affine in c3, or the lemma overstates"
         )
 
 
-def _grid_sizes(grid) -> tuple[int, ...]:
-    """``grid`` as ints, refused unless every axis is an integer of at least ``_MIN_GRID``."""
+def _grid_sizes(grid, axes: int) -> tuple[int, ...]:
+    """``grid`` as ``axes`` ints of at least ``_MIN_GRID`` each, else a ValueError; a bare number is one axis."""
     try:
-        sizes = tuple(map(operator.index, grid))
+        values = tuple(grid)
+    except TypeError:
+        values = (grid,)
+    if len(values) != axes:
+        raise ValueError(f"grid must have {axes} axes, got {grid!r}")
+    try:
+        sizes = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"grid axes must be integers, got {grid!r}") from None
     if min(sizes) < _MIN_GRID:
@@ -307,7 +305,7 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
     most ``MAX_SLICE_POINTS``, refused with a ``ValueError`` otherwise.
     """
     import numpy as np
-    n_c, n_mu = _grid_sizes(grid)
+    n_c, n_mu = _grid_sizes(grid, 2)
     if n_c * n_mu > MAX_SLICE_POINTS:
         raise ValueError(f"grid too large: n_c * n_mu must be at most {MAX_SLICE_POINTS}")
     c = np.linspace(0.0, 2.0, n_c)[:, None]

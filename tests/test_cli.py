@@ -550,6 +550,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         "sweep --sweep beta_strong --start 0.1 --stop 0.5 --step 0.1")]
 spec = hb.starlike(hb.preset("halfplane"))
 hb.majorant_surface(spec, 1.0, 0.5)
+hb.verify.expand_arrays(1.0, 0.5 + 0.5j, 1j)
 loaded = "numpy" in sys.modules
 report = hb.empirical_sup(spec, grid=(16, 8, 16))
 print(json.dumps({"codes": codes, "loaded": loaded, "sup": report.empirical_sup, "margin": report.margin,

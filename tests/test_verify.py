@@ -13,7 +13,8 @@ from hankelbound.verify import (
     DEFAULT_GRID,
     MAX_SAMPLES,
     MAX_SLICE_POINTS,
-    _check_rings,
+    CaratheodoryPoint,
+    _check_at_c,
     _disk_samples,
     _lemma_case,
     _maximising_z,
@@ -63,6 +64,16 @@ class TestCaratheodoryExpand:
             _, _, c3a = expand_arrays(c, x, z1)
             _, _, c3b = expand_arrays(c, x, -z1)
             assert abs(c3a - c3b) < 1e-14
+
+    def test_plain_numbers_match_one_element_arrays(self, rng):
+        # plain numbers give plain numbers, as an array of one point does
+        for _ in range(100):
+            c = float(rng.uniform(0, 2))
+            x, z = (complex(r * np.exp(2j * np.pi * rng.uniform())) for r in np.sqrt(rng.uniform(0, 1, 2)))
+            plain = expand_arrays(c, x, z)
+            arrays = expand_arrays(np.array([c]), np.array([x]), np.array([z]))
+            assert all(type(v) is complex for v in plain)
+            np.testing.assert_allclose(plain, [v[0] for v in arrays], rtol=1e-15, atol=0)
 
     def test_point_validation(self):
         with pytest.raises(ValueError):
@@ -270,7 +281,9 @@ class TestEmpiricalSup:
     @pytest.mark.parametrize(
         "grid, message",
         [((2**18, 8, 8), "too large"), ((MAX_SLICE_POINTS // 4 + 1, 8, 8), "too large"),
-         ((64.7, 32.9, 64), "axes must be integers"), ((64, 32, np.float64(64)), "axes must be integers")],
+         ((64.7, 32.9, 64), "axes must be integers"), ((64, 32, np.float64(64)), "axes must be integers"),
+         ((64, 32), "must have 3 axes"), ((64, 32, 64, 8), "must have 3 axes"), ((), "must have 3 axes"),
+         (64, "must have 3 axes")],
     )
     def test_grid_refused_before_any_array(self, monkeypatch, grid, message):
         # an array built past the size check, or a grid run at truncated
@@ -615,7 +628,8 @@ class TestGuards:
     def test_rings_in_halves_match_one_full_circle(self, monkeypatch, kind, rng):
         # on the doubled grid each ring call stays under 8,192 points, so its
         # complex temporaries stay under 128 KB; the best ring point is the
-        # one a single evaluation of x = 0 and every ring finds, bit for bit
+        # one a single evaluation of x = 0 and every ring finds, bit for bit;
+        # a value of 0 trips the ring direction before the point is read
         sizes = []
 
         def spy(spec, c1, c2, c3):
@@ -630,12 +644,12 @@ class TestGuards:
             spec = random_spec(rng, kind)
             c = float(rng.uniform(0, 2))
             d = abs(complex(_quadratic_in_x(spec, np.array([c]))[2][0]))
-            a2, a3, a4 = coefficient_arrays(spec, *hb.verify._expand_at_zero(c, x))
+            a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, 0.0))
             values = np.abs(a2 * a4 - a3 * a3) + d * hb.verify._disk_weight(x)
             ix = int(np.argmax(values))
             sizes.clear()
             with pytest.raises(ValueError) as refused:
-                _check_rings(spec, c, d, (n_r, n_t), 0.0)
+                _check_at_c(spec, CaratheodoryPoint(c, 0j, 1 + 0j), d, (n_r, n_t), 0.0)
             assert len(sizes) == 2 and max(sizes) < 8192
             found = re.search(r"ring value (\S+) of .* x=(\S+) beats", str(refused.value))
             assert float(found[1]) == float(values[ix])
@@ -772,7 +786,8 @@ class TestMuMonotone:
     @pytest.mark.parametrize(
         "grid, message",
         [((0, 0), "too small"), ((1, 1), "too small"), ((8, 7), "too small"), ((-3, 5), "too small"),
-         ((2**13, 2**12), "too large"), ((4096, 4096), "too large"), ((64.9, 8.5), "axes must be integers")],
+         ((2**13, 2**12), "too large"), ((4096, 4096), "too large"), ((64.9, 8.5), "axes must be integers"),
+         ((64,), "must have 2 axes"), ((64, 64, 64), "must have 2 axes")],
     )
     def test_grid_refused_before_any_array(self, monkeypatch, grid, message):
         # a surface built past the size check fails the test instead of

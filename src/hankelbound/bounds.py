@@ -6,7 +6,8 @@ Every class reduces the functional exactly to
 
 and the paper's closed forms come out as T * max over t in [0, 4] of
 P t^2 + Q t + R, where (P, Q, R, T) depend only on the target coefficients
-and the class parameters.  The maximum splits into three regions:
+and the class parameters; ``certified_quadratic`` gives R, starlike's Q and
+rgt's P and Q, the paper's up to rounding.  The maximum has three regions:
 
   caseR        Q <= 0 and P <= -Q/4          -> R
   case16P4QR   Q >= 0, P >= -Q/8  or
@@ -35,6 +36,7 @@ which is an upper bound for every admissible target by construction (see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .classes import ClassSpec
@@ -78,8 +80,8 @@ class BoundResult:
 
 
 def profile(spec: ClassSpec) -> QuadraticProfile:
-    """Exact (P, Q, R, T, d1..d4) for the class; uses |B2|, |B3| where the
-    closed forms do.  Convex is computed as galpha at alpha = 1."""
+    """Exact (P, Q, R, T, d1..d4), convex as galpha at alpha = 1: each class gives
+    T, d1..d4 and the paper's leading coefficients, ``certified_quadratic`` the rest."""
     b1, b2, b3 = spec.phi.b1, spec.phi.b2, spec.phi.b3
     ab2, ab3 = abs(b2), abs(b3)
     if spec.kind == "starlike":
@@ -88,9 +90,7 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         d3 = -6.0 * b1
         d4 = -0.5 * b1**3 + 0.5 * b1 - b2 + 2.0 * b3 - 1.5 * b2 * b2 / b1
         T = b1 / 96.0
-        P = 0.25 * (-2.0 * b1**3 + 8.0 * ab3 - 6.0 * b2 * b2 / b1 - ab2 - 0.5 * b1)
-        Q = 4.0 * (ab2 - b1)
-        R = 24.0 * b1
+        paper = (0.25 * (-2.0 * b1**3 + 8.0 * ab3 - 6.0 * b2 * b2 / b1 - ab2 - 0.5 * b1),)
     elif spec.kind == "rgt":
         p = spec.p
         g = spec.gamma
@@ -100,9 +100,7 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         d3 = -4.0 * p
         d4 = 1.0 - 2.0 * r - p * (r - 1.0) ** 2 + b3 / b1
         T = abs(spec.tau) ** 2 * b1 * b1 / (128.0 * (1 + g) * (1 + 3 * g))
-        P = abs(b3 / b1 - p * r * r) - (1.0 - p) * (2.0 * abs(r) + 1.0)
-        Q = 4.0 * (2.0 * abs(r) * (1.0 - p) + 1.0 - 2.0 * p)
-        R = 16.0 * p
+        paper = ()
     else:  # galpha, convex as its alpha = 1
         p = spec.p
         a = spec.blend
@@ -120,18 +118,18 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
             - p * (a * b1 * b1 - b1 + b2) ** 2 / b1
         )
         T = b1 / (128.0 * (1 + a) * (1 + 2 * a))
-        P = (
+        paper = (
             b1**3 * a * (2 * a - 1 - p * a)
             + a * b1 * ab2 * (3 - 2 * p)
             - b1 * b1 * a * (3 - 2 * p)
             + (a + 1) * ab3
             - (1 + a - p) * (2.0 * ab2 + b1)
-            - p * b2 * b2 / b1
+            - p * b2 * b2 / b1,
+            4.0 * (b1 * b1 * a * (3 - 2 * p) + 2.0 * ab2 * (1 + a - p) + b1 * (1 + a - 2 * p)),
         )
-        Q = 4.0 * (b1 * b1 * a * (3 - 2 * p) + 2.0 * ab2 * (1 + a - p) + b1 * (1 + a - 2 * p))
-        R = 16.0 * p * b1
-    if T == 0.0:  # B1 > 0 and tau != 0, so only underflow (of |tau|^2 B1^2) gives 0
+    if T < sys.float_info.min:  # B1 > 0 and tau != 0, so only underflow leaves the normal range
         raise ValueError(f"bound of {spec.describe()} underflows at this target's magnitude")
+    P, Q, R = paper + certified_quadratic(d1, d2, d3, d4)[len(paper):]
     return QuadraticProfile(P=P, Q=Q, R=R, T=T, d1=d1, d2=d2, d3=d3, d4=d4)
 
 
@@ -207,7 +205,7 @@ def _closed_form(spec: ClassSpec, branch: str) -> float:
     return (b1 * b1 / (32.0 * (1 + a) * (1 + 2 * a))) * (4.0 * p - qline * qline / den)
 
 
-def majorant_weights(prof: QuadraticProfile) -> tuple[float, float]:
+def majorant_weights(d1: float, d2: float, d3: float, d4: float) -> tuple[float, float]:
     """The quartic and linear weights (|K4|, |d1+d2+d3|) of the triangle
     majorant of |d1 c1 c3 + d2 c1^2 c2 + d3 c2^2 + d4 c1^4|.
 
@@ -223,7 +221,6 @@ def majorant_weights(prof: QuadraticProfile) -> tuple[float, float]:
     coefficient is s (c - 2)((d1 - |d3|) c/4 - |d3|/2) >= 0 on [0, 2] and the
     majorant is non-decreasing in mu.
     """
-    d1, d2, d3, d4 = prof.d1, prof.d2, prof.d3, prof.d4
     if not (d1 > 0 and d3 <= 0 and 2.0 * abs(d3) >= d1):
         raise ValueError(
             f"certified bound needs d1 > 0, d3 <= 0, 2|d3| >= d1; got d1={d1!r}, d3={d3!r}"
@@ -231,14 +228,13 @@ def majorant_weights(prof: QuadraticProfile) -> tuple[float, float]:
     return abs(d1 / 4.0 + d2 / 2.0 + d3 / 4.0 + d4), abs(d1 + d2 + d3)
 
 
-def certified_quadratic(prof: QuadraticProfile) -> tuple[float, float, float]:
+def certified_quadratic(d1: float, d2: float, d3: float, d4: float) -> tuple[float, float, float]:
     """(P', Q', R') with T * max over t in [0, 4] of P' t^2 + Q' t + R' an
     upper bound for T |d1 c1 c3 + d2 c1^2 c2 + d3 c2^2 + d4 c1^4|: the
     mu = 1 section, in t = c^2, of the majorant of ``majorant_weights``,
     which is where that majorant peaks.
     """
-    d1, d3 = prof.d1, prof.d3
-    quartic, linear = majorant_weights(prof)
+    quartic, linear = majorant_weights(d1, d2, d3, d4)
     return (
         quartic - linear / 2.0 - (d1 - abs(d3)) / 4.0,
         2.0 * linear + d1 - 2.0 * abs(d3),
@@ -256,7 +252,7 @@ def majorant_surface(spec: ClassSpec, c, mu):
     takes floats, and broadcasts over numpy arrays.
     """
     prof = profile(spec)
-    quartic, linear = majorant_weights(prof)
+    quartic, linear = majorant_weights(prof.d1, prof.d2, prof.d3, prof.d4)
     s = 4.0 - c * c
     c2 = c * c
     return prof.T * (
@@ -288,7 +284,7 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
         branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
         paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
         closed = _closed_form(spec, branch)
-        coeffs = certified_quadratic(prof)
+        coeffs = certified_quadratic(prof.d1, prof.d2, prof.d3, prof.d4)
         certified = prof.T * robust_quad_max(*coeffs)
     except OverflowError as exc:
         # float ** raises where * gives inf; both are the same bad target

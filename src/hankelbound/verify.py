@@ -131,9 +131,9 @@ def _quadratic_in_x(spec: ClassSpec, c):
 
     All four come from one ``coefficient_arrays`` call at (x, z) in
     {(0, 0), (1, 0), (-1, 0), (0, 1)}; hz_unit is h(0, 1) - h(0, 0).
-    ``phase`` is the phase of the largest of A, B and C, and a ValueError
-    is raised if what is left after taking it out is not real to 1e-12 of
-    that largest value.
+    ``phase`` is the phase of the largest of A, B and C.  A ValueError is
+    raised at the first c where a reading is not finite, or where what is
+    left after taking the phase out is not real to 1e-12 of that largest value.
     """
     import numpy as np
     x = np.array([[0j], [1 + 0j], [-1 + 0j], [0j]])
@@ -144,7 +144,10 @@ def _quadratic_in_x(spec: ClassSpec, c):
     largest = np.take_along_axis(abc, np.argmax(np.abs(abc), axis=0)[None, :], axis=0)[0]
     size = np.abs(largest)
     phase = np.where(size > 0, largest / np.where(size > 0, size, 1.0), 1.0)
-    abc = abc / phase
+    abc, hz_unit = abc / phase, h[3] - h[0]
+    finite = np.isfinite(abc).all(axis=0) & np.isfinite(hz_unit)
+    if not finite.all():
+        raise ValueError(f"the functional of {spec.describe()} at c={float(c[np.argmin(finite)])!r} is not finite")
     residual = np.max(np.abs(abc.imag), axis=0)
     if np.any(residual > 1e-12 * size):
         ic = int(np.argmax(residual - 1e-12 * size))
@@ -152,7 +155,7 @@ def _quadratic_in_x(spec: ClassSpec, c):
             f"h0 of {spec.describe()} at c={float(c[ic])!r} is not a quadratic with one phase: "
             f"an imaginary part {float(residual[ic])!r} is left of {float(size[ic])!r}"
         )
-    return phase, abc.real, h[3] - h[0]
+    return phase, abc.real, hz_unit
 
 
 def _lemma_case(A: float, B: float, C: float, D: float) -> tuple[int, float, complex]:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -219,6 +218,21 @@ class TestSecondHankelBound:
         scaled = hb.second_hankel_bound(hb.r_gamma_tau(phi, 0.5, 2 + 0j)).bound
         assert scaled == pytest.approx(4 * base, rel=1e-14)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_tau_scale_law_holds_or_underflows(self, gamma):
+        # the bound is |tau|^2 times its tau = 1 value; a T below the normal
+        # float range has lost digits, so it is refused rather than let through
+        phi = hb.custom(1, 1, 1)
+        base = hb.second_hankel_bound(hb.r_gamma_tau(phi, gamma, 1 + 0j)).bound
+        for tau in np.logspace(-161.6, -150, 400):
+            try:
+                bound = hb.second_hankel_bound(hb.r_gamma_tau(phi, gamma, complex(tau))).bound
+            except ValueError as exc:
+                assert "underflows at this target's magnitude" in str(exc)
+                continue
+            # divided out, as |tau|^2 itself would round in the subnormal range
+            assert bound / tau / tau >= base * (1 - 1e-12)
+
     def test_first_derivative_consistency_on_halfplane(self):
         phi = hb.preset("halfplane")
         a = hb.second_hankel_bound(hb.r_gamma_tau(phi, 0.0, 1 + 0j)).bound
@@ -309,18 +323,26 @@ class TestMajorantConsistency:
         for _ in range(40):
             spec = random_spec(rng, kind)
             prof = hb.profile(spec)
-            p, q, r = hb.certified_quadratic(prof)
+            p, q, r = hb.certified_quadratic(prof.d1, prof.d2, prof.d3, prof.d4)
             quad = prof.T * (p * t**2 + q * t + r)
             np.testing.assert_allclose(hb.majorant_surface(spec, c, 1.0), quad, rtol=1e-12)
 
 
 class TestCertifiedQuadratic:
     def test_first_derivative_class_is_its_paper_form(self, rng):
-        # rgt already majorises every term by its modulus
+        # rgt already majorises every term by its modulus, so the certified
+        # quadratic is the paper's P, Q, R as printed
         for _ in range(200):
-            prof = hb.profile(random_spec(rng, "rgt"))
+            spec = random_spec(rng, "rgt")
+            prof = hb.profile(spec)
+            p, r = spec.p, spec.phi.b2 / spec.phi.b1
+            paper = (
+                abs(spec.phi.b3 / spec.phi.b1 - p * r * r) - (1.0 - p) * (2.0 * abs(r) + 1.0),
+                4.0 * (2.0 * abs(r) * (1.0 - p) + 1.0 - 2.0 * p),
+                16.0 * p,
+            )
             np.testing.assert_allclose(
-                hb.certified_quadratic(prof), (prof.P, prof.Q, prof.R), rtol=1e-12, atol=1e-12
+                hb.certified_quadratic(prof.d1, prof.d2, prof.d3, prof.d4), paper, rtol=1e-12, atol=1e-12
             )
 
     def test_mu_one_section_of_triangle_majorant(self, rng):
@@ -343,13 +365,14 @@ class TestCertifiedQuadratic:
                 )
                 surface = hb.majorant_surface(spec, c, mu)
                 np.testing.assert_allclose(surface, prof.T * majorant, rtol=1e-12, atol=1e-15)
-                p, q, r = hb.certified_quadratic(prof)
+                p, q, r = hb.certified_quadratic(d1, d2, d3, d4)
                 t = c[:, 0] ** 2
                 np.testing.assert_allclose(majorant.max(axis=1), majorant[:, -1], rtol=1e-12)
                 np.testing.assert_allclose(p * t**2 + q * t + r, majorant[:, -1], rtol=1e-10, atol=1e-10)
 
     def test_premise_is_enforced(self):
         prof = hb.profile(hb.starlike(hb.preset("halfplane")))
+        weights = {"d1": prof.d1, "d2": prof.d2, "d3": prof.d3, "d4": prof.d4}
         for bad in ({"d3": 1.0}, {"d1": 0.0}, {"d3": -1.0}):
             with pytest.raises(ValueError, match="2\\|d3\\| >= d1"):
-                hb.certified_quadratic(dataclasses.replace(prof, **bad))
+                hb.certified_quadratic(**{**weights, **bad})

@@ -704,9 +704,13 @@ class TestFailureContract:
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
             (["verify", "--preset", "halfplane", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
             (["bound", "--custom", "1,1e200,1e308"], "bound of starlike is not finite at this target's magnitude"),
+            (["bound", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-155"],
+             "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),
+            (["verify", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-155", "--grid", "8,8,8", "--samples", "10"],
+             "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),
         ],
         ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list",
-             "negative_seed", "nan_quadratic"],
+             "negative_seed", "nan_quadratic", "subnormal_tau", "subnormal_tau_verify"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
         list_file = tmp_path / "phi.json"

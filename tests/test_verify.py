@@ -595,6 +595,22 @@ class TestQuadraticInX:
             hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(8, 8, 8))
 
 
+    @pytest.mark.parametrize("bad", [[5], list(range(16))], ids=["one_c", "every_c"])
+    def test_non_finite_reading_is_refused(self, monkeypatch, bad):
+        # a nan compares false both ways: unchecked, it drops its c from the
+        # maximum, or with every c nan leaves the -1.0 start value as the sup
+        c_values = np.linspace(0.0, 2.0, 16)
+
+        def nan_at(spec, c1, c2, c3):
+            a2, a3, a4 = coefficient_arrays(spec, c1, c2, c3)
+            return a2, a3, np.where(np.isin(np.real(c1), c_values[bad]), np.nan, a4)
+
+        monkeypatch.setattr("hankelbound.verify.coefficient_arrays", nan_at)
+        message = f"functional of starlike at c={float(c_values[bad[0]])!r} is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hb.empirical_sup(hb.starlike(hb.preset("halfplane")), grid=(16, 8, 8))
+
+
 class TestGuards:
     """A lemma that understates is caught by the rings, one that overstates
     by the direct evaluation at the reported point."""

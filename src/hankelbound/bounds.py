@@ -27,10 +27,10 @@ signed, so on their own they can fall below the true supremum.  The
 reported ``bound`` is therefore the larger of the paper-form value and a
 certified value: the Caratheodory parameterisation of (c2, c3) with the
 triangle inequality applied term by term to the (T, d1..d4) functional,
-which is an upper bound for every admissible target by construction (see
-``certified_quadratic``).  ``bound`` may thus exceed ``closed_form_value``.
-``majorant_surface`` gives that triangle majorant in (c, mu = |x|), and
-``certified_quadratic`` is its mu = 1 section.
+which is an upper bound for every admissible target by construction: T times
+the maximum of ``certified_quadratic``, kept by ``profile`` as ``certified``.
+``bound`` may thus exceed ``closed_form_value``; ``majorant_surface`` is that
+majorant in (c, mu = |x|), with ``certified_quadratic`` its mu = 1 section.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BRANCHES = (CASE_R, CASE_ENDPOINT, CASE_VERTEX)
 
 @dataclass(frozen=True)
 class QuadraticProfile:
-    """Reduced-quadratic data (P, Q, R, T) plus the intermediate weights."""
+    """Reduced-quadratic data (P, Q, R, T), the weights d1..d4, and ``certified_quadratic``'s triple."""
 
     P: float
     Q: float
@@ -59,6 +59,7 @@ class QuadraticProfile:
     d2: float
     d3: float
     d4: float
+    certified: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if not self.R > 0:
@@ -129,8 +130,9 @@ def profile(spec: ClassSpec) -> QuadraticProfile:
         )
     if T < sys.float_info.min:  # B1 > 0 and tau != 0, so only underflow leaves the normal range
         raise ValueError(f"bound of {spec.describe()} underflows at this target's magnitude")
-    P, Q, R = paper + certified_quadratic(d1, d2, d3, d4)[len(paper):]
-    return QuadraticProfile(P=P, Q=Q, R=R, T=T, d1=d1, d2=d2, d3=d3, d4=d4)
+    rule = certified_quadratic(d1, d2, d3, d4)
+    P, Q, R = paper + rule[len(paper):]
+    return QuadraticProfile(P=P, Q=Q, R=R, T=T, d1=d1, d2=d2, d3=d3, d4=d4, certified=rule)
 
 
 def quad_max(P: float, Q: float, R: float) -> tuple[float, str]:
@@ -268,7 +270,7 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
 
     ``bound`` is the largest of the paper-form value T * max P t^2 + Q t + R,
     enumerated or as ``closed_form_value`` (labelled by ``branch``), and the
-    certified value from ``certified_quadratic``; ties go to the paper form.
+    certified value from the profile's ``certified``; ties go to the paper form.
     The certified value rests on d1 > 0, d3 <= 0 and 2|d3| >= d1 (starlike
     12 >= 8, rgt p >= 64/81 > 1/2, galpha 2p >= 1 + alpha, so convex
     8/3 >= 2, all in units of B1); a ValueError is raised if that premise
@@ -284,15 +286,14 @@ def second_hankel_bound(spec: ClassSpec) -> BoundResult:
         branch_value, branch = quad_max(prof.P, prof.Q, prof.R)
         paper = prof.T * robust_quad_max(prof.P, prof.Q, prof.R)
         closed = _closed_form(spec, branch)
-        coeffs = certified_quadratic(prof.d1, prof.d2, prof.d3, prof.d4)
-        certified = prof.T * robust_quad_max(*coeffs)
+        certified = prof.T * robust_quad_max(*prof.certified)
     except OverflowError as exc:
         # float ** raises where * gives inf; both are the same bad target
         raise ValueError(f"bound of {spec.describe()} overflows at this target's magnitude") from exc
     region = prof.T * branch_value
     # max() in robust_quad_max lets a nan through, so its inputs are checked
     # as well; a sum is inf or nan whenever any of its terms is
-    if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(coeffs) + paper + closed + certified + region):
+    if not math.isfinite(prof.P + prof.Q + prof.R + prof.T + sum(prof.certified) + paper + closed + certified + region):
         raise ValueError(f"bound of {spec.describe()} is not finite at this target's magnitude")
     if not (
         math.isclose(region, paper, rel_tol=1e-9, abs_tol=1e-15)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .bounds import majorant_surface, second_hankel_bound
@@ -125,21 +126,27 @@ def expand_arrays(c, x, z):
 
 
 def _quadratic_in_x(spec: ClassSpec, c):
-    """(phase, abc, hz_unit) at each c of the array ``c``: h0 = phase
-    (A + B x + C x^2) with the rows of ``abc`` A, B, C real, and
-    hz = hz_unit (1 - |x|^2).
+    """(phase, abc, hz_unit, terms) at each c of the array ``c``: h0 = phase
+    (A + B x + C x^2) with the rows of ``abc`` A, B, C real,
+    hz = hz_unit (1 - |x|^2), and ``terms`` the largest |a2 a4| + |a3|^2.
 
-    All four come from one ``coefficient_arrays`` call at (x, z) in
+    All come from one ``coefficient_arrays`` call at (x, z) in
     {(0, 0), (1, 0), (-1, 0), (0, 1)}; hz_unit is h(0, 1) - h(0, 0).
     ``phase`` is the phase of the largest of A, B and C.  A ValueError is
-    raised at the first c where a reading is not finite, or where what is
-    left after taking the phase out is not real to 1e-12 of that largest value.
+    raised at the first c where ``terms`` is nonzero but below the normal
+    float range, where a reading is not finite, or where what is left after
+    taking the phase out is not real to 1e-12 of that largest value.
     """
     import numpy as np
     x = np.array([[0j], [1 + 0j], [-1 + 0j], [0j]])
     z = np.array([[0j], [0j], [0j], [1 + 0j]])
     a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, z))
     h = a2 * a4 - a3 * a3  # rows at (x, z) = (0, 0), (1, 0), (-1, 0), (0, 1)
+    terms = np.max(np.abs(a2 * a4) + np.abs(a3) ** 2, axis=0)
+    subnormal = (terms > 0) & (terms < sys.float_info.min)
+    if subnormal.any():  # before the phase is divided out, which overflows there
+        ic = int(np.argmax(subnormal))
+        raise ValueError(f"the functional of {spec.describe()} at c={float(c[ic])!r} underflows at this target's magnitude")
     abc = np.stack((h[0], 0.5 * (h[1] - h[2]), 0.5 * (h[1] + h[2]) - h[0]))
     largest = np.take_along_axis(abc, np.argmax(np.abs(abc), axis=0)[None, :], axis=0)[0]
     size = np.abs(largest)
@@ -155,7 +162,7 @@ def _quadratic_in_x(spec: ClassSpec, c):
             f"h0 of {spec.describe()} at c={float(c[ic])!r} is not a quadratic with one phase: "
             f"an imaginary part {float(residual[ic])!r} is left of {float(size[ic])!r}"
         )
-    return phase, abc.real, hz_unit
+    return phase, abc.real, hz_unit, terms
 
 
 def _lemma_case(A: float, B: float, C: float, D: float) -> tuple[int, float, complex]:
@@ -200,7 +207,9 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
     (module docstring), and ``argmax`` is the best c with its maximiser x,
     Im x >= 0, and the maximising z.
 
-    One guard pass at the reported c, ``_check_at_c``, raises a ValueError
+    A value below 1e-12 of its c's ``terms`` from ``_quadratic_in_x`` is
+    rounding noise and refused with a ValueError before any guard reads it.
+    Then one guard pass at the reported c, ``_check_at_c``, raises one
     in either direction: if a ring point beats that value by more than 1e-12
     of it (the lemma understates), and then if the value re-evaluated at
     ``argmax`` misses it by more than 1e-12 of |a2 a4| + |a3|^2 there (the
@@ -212,7 +221,7 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         raise ValueError(f"grid too large: 4 n_c and n_r * n_theta must each be at most {MAX_SLICE_POINTS}")
     bound = second_hankel_bound(spec).bound
     c_values = np.linspace(0.0, 2.0, n_c)
-    phase, abc, hz_unit = _quadratic_in_x(spec, c_values)
+    phase, abc, hz_unit, terms = _quadratic_in_x(spec, c_values)
     table = np.vstack((abc, np.abs(hz_unit)))  # rows A, B, C, D
     # a power of two per c brings its table to order 1 exactly, so the
     # lemma's fourth powers neither overflow nor underflow
@@ -224,6 +233,11 @@ def empirical_sup(spec: ClassSpec, grid: tuple[int, int, int] = DEFAULT_GRID) ->
         if value * m > best_value:
             best_value, best_ic, best_x = value * m, ic, x
     c = float(c_values[best_ic])
+    if best_value < 1e-12 * terms[best_ic]:
+        raise ValueError(
+            f"the functional of {spec.describe()} at c={c!r} is lost to rounding at this target's magnitude: "
+            f"its maximum {best_value!r} is below 1e-12 of its terms {float(terms[best_ic])!r}"
+        )
     A, B, C = abc[:, best_ic]
     h0 = complex(phase[best_ic]) * (A + (B + C * best_x) * best_x)
     hz = complex(hz_unit[best_ic]) * _disk_weight(best_x)
@@ -336,9 +350,14 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
     One ``default_rng(seed)`` draws each block of n <= ``_BLOCK`` points as
     ceil(n / nz) (c, x) pairs, c uniform on [0, 2] and x by ``_disk_samples``,
     crossed with nz = min(``_Z_PER_PAIR``, isqrt(n)) z points, and counts the
-    first n of the row-major product.  ``samples`` is at most ``MAX_SAMPLES``.
+    first n of the row-major product.  ``samples`` is at most ``MAX_SAMPLES``;
+    it and ``seed`` must be integers, else a ValueError, as ``_grid_sizes`` does.
     """
     import numpy as np
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"samples and seed must be integers, got {samples!r} and {seed!r}") from None
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:

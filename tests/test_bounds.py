@@ -296,13 +296,27 @@ class TestSecondHankelBound:
         with pytest.raises(ValueError, match=re.escape("bound of rgt(gamma=0, tau=1e-170+0j) underflows")):
             hb.second_hankel_bound(spec)
         with pytest.raises(ValueError, match="T must be positive"):
-            hb.QuadraticProfile(P=0.0, Q=0.0, R=1.0, T=0.0, d1=4.0, d2=0.0, d3=-4.0, d4=0.0)
+            hb.QuadraticProfile(P=0.0, Q=0.0, R=1.0, T=0.0, d1=4.0, d2=0.0, d3=-4.0, d4=0.0, certified=(0.0, 0.0, 16.0))
 
     def test_region_overflow_is_not_finite(self):
         # at this magnitude the region value overflows while the other two stay finite
         spec = hb.convex(hb.custom(*REGION_OVERFLOW_TARGET))
         with pytest.raises(ValueError, match=re.escape("bound of convex is not finite at this target's magnitude")):
             hb.second_hankel_bound(spec)
+
+    @pytest.mark.parametrize("kind", hb.classes.KINDS)
+    def test_certified_rule_runs_once_per_bound(self, monkeypatch, rng, kind):
+        # profile keeps the rule's triple, so the bound reads it instead of calling the rule again
+        calls = {"certified_quadratic": 0, "majorant_weights": 0}
+        for name in calls:
+            def spy(*args, real=getattr(hb.bounds, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(f"hankelbound.bounds.{name}", spy)
+        for n in range(1, 11):
+            hb.second_hankel_bound(random_spec(rng, kind))
+            assert calls == {"certified_quadratic": n, "majorant_weights": n}
 
     def test_disagreeing_paper_forms_are_a_value_error(self, monkeypatch):
         # the closed form off by 1e-6 relative, past the 1e-9 agreement tolerance

@@ -708,9 +708,18 @@ class TestFailureContract:
              "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),
             (["verify", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-155", "--grid", "8,8,8", "--samples", "10"],
              "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),
+            # starlike (b, b^2, b^3) has K4 = 0, so the functional is ~1e-31 and ~1e-17 of its terms
+            (["verify", "--custom", "1e30,1e60,1e90", "--samples", "10"],
+             "the functional of starlike at c=1.8412698412698412 is lost to rounding at this target's magnitude"),
+            (["verify", "--custom", "1e16,1e32,1e48", "--samples", "10"],
+             "the functional of starlike at c=1.8095238095238093 is lost to rounding at this target's magnitude"),
+            (["verify", "--class", "rgt", "--gamma", "1", "--tau", "1e-140", "--custom", "1e-10,1e-20,1e-30",
+              "--samples", "10"],
+             "the functional of rgt(gamma=1, tau=1e-140+0j) at c=2.0 underflows at this target's magnitude"),
         ],
         ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list",
-             "negative_seed", "nan_quadratic", "subnormal_tau", "subnormal_tau_verify"],
+             "negative_seed", "nan_quadratic", "subnormal_tau", "subnormal_tau_verify",
+             "rounding_noise_verify", "rounding_noise_ring_verify", "subnormal_reading_verify"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):
         list_file = tmp_path / "phi.json"

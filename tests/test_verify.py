@@ -111,6 +111,15 @@ class TestCaratheodoryBounds:
         with pytest.raises(ValueError, match="at most"):
             hb.check_caratheodory_bounds(MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize(
+        "samples, seed",
+        [(10.0, 0), (4097.0, 0), ("10", 0), (math.nan, 0), (10, 1.5)],
+        ids=["float", "float_past_a_block", "str", "nan", "float_seed"],
+    )
+    def test_non_integer_is_refused(self, samples, seed):
+        with pytest.raises(ValueError, match="samples and seed must be integers"):
+            hb.check_caratheodory_bounds(samples, seed)
+
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
     def test_result_is_pinned(self, samples, seed):
@@ -554,7 +563,7 @@ class TestQuadraticInX:
     def test_verifier_reads_the_same_quadratic(self, kind, rng):
         spec = random_spec(rng, kind)
         c = np.linspace(0.0, 2.0, 64)
-        phase, abc, hz_unit = _quadratic_in_x(spec, c)
+        phase, abc, hz_unit, _ = _quadratic_in_x(spec, c)
         for mine, theirs in zip(abc, _quadratic_parts(spec, c)):
             np.testing.assert_allclose(phase * mine, theirs, rtol=1e-13, atol=1e-15)
         _, hz = _affine_parts(spec, c, np.zeros_like(c, dtype=complex))

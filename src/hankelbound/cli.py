@@ -315,12 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_TOL,
         help="allowed negative margin, finite and at least 0, relative to the bound when the bound exceeds 1",
     )
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument(
+        "--seed",
+        type=int,
+        default=verify.DEFAULT_SEED,
+        help="offsets of the sample lattices, an integer in [0, 2^64)",
+    )
     p_verify.add_argument(
         "--samples",
         type=int,
         default=100_000,
-        help=f"coefficient-bound seeded points: (c, x) pairs crossed with z; at most {verify.MAX_SAMPLES}",
+        help="points where |c2|, |c3| <= 2 is checked: (c, x) pairs of a seeded R_3 lattice crossed with z of "
+        f"an R_2 lattice; at most {verify.MAX_SAMPLES}",
     )
     p_verify.set_defaults(func=cmd_verify)
 

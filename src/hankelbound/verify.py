@@ -36,9 +36,14 @@ the certified value is maximised through, peaks at mu = 1.
 
 ``check_caratheodory_bounds`` checks the parameterisation itself on seeded
 points: |c2| and |c3| stay at most 2.  c3 is affine in z, so its points are
-(c, x) pairs crossed with shared z points.  Work is capped: no array holds
-more than ``MAX_SLICE_POINTS`` points, and at most ``MAX_SAMPLES`` samples
-are drawn, refused with a ``ValueError`` before anything is built.  numpy is
+(c, x) pairs crossed with shared z points.  The points come from two
+seeded R_d lattices, Weyl's additive recurrence frac(s + n alpha) with
+Roberts' alpha: R_3 for the pairs and R_2 for z, each kept where its disk
+coordinate lies in the disk.  Candidate n is a function of n and the seed
+alone, in uint64 arithmetic, so the points are bit-reproducible and
+``numpy.random`` is never imported.  Work is capped: no array holds more
+than ``MAX_SLICE_POINTS`` points, and at most ``MAX_SAMPLES`` samples are
+drawn, refused with a ``ValueError`` before anything is built.  numpy is
 imported by the functions that use it, not by this module, so ``import
 hankelbound``, the ``bound``, ``series`` and ``sweep`` commands, and
 ``expand_arrays`` on plain numbers run without it.
@@ -63,10 +68,16 @@ _MIN_GRID = 8
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # at most this many points per expand_arrays call, a slice of the ring check
-# at z = 0 or a sample block's (256, 16) pairs x z: a complex temporary is
-# then at most 64 KB, under glibc's 128 KB mmap threshold
+# at z = 0 or a sample block's (256, 16) pairs x z, and at most this many
+# lattice candidates per round: a complex temporary is then at most 64 KB,
+# under glibc's 128 KB mmap threshold
 _BLOCK = 4096
 _Z_PER_PAIR = 16
+# Roberts' R_d lattices: A_j = floor(g^-j 2^64), j = 1..d, with g the root
+# of g^(d+1) = g + 1 greater than 1; R_3 draws the (c, x) pairs, R_2 the z
+_PAIR_STEPS = (0xD1B54A32D192ED03, 0xABC98388FB8FAC02, 0x8CB92BA72F3D8DD7)
+_Z_STEPS = (0xC13FA9A902A6328F, 0x91E10DA5C79E7B1C)
+_MASK64 = 2**64 - 1
 # Boundary points (c, x, z), stored column-wise: (2, 0.25+0.5i, 0.5i) gives
 # |c2| = |c3| = 2, and (0, 1, -1) gives only |c2| = 2.
 _RIDE_ALONG = ((2.0, 0.0), (0.25 + 0.5j, 1.0 + 0j), (0.5j, -1.0 + 0j))
@@ -259,21 +270,25 @@ def _check_at_c(spec: ClassSpec, point: CaratheodoryPoint, d: float, rings: tupl
     either direction, both read through ``expand_arrays``: |h0| + d (1 - |x|^2),
     with d = |hz_unit| at this c, at z = 0 on x = 0 and the full circle of
     rings 1..n_r-1, n_theta angles each, ``_BLOCK`` points at a time, beats
-    it by more than 1e-12 of it (the lemma understates), or |a2 a4 - a3^2|
+    it by more than 1e-12 of it or of |a2 a4| + |a3|^2 at the best ring
+    point, whichever is larger (the lemma understates), or |a2 a4 - a3^2|
     at ``point`` misses it by more than 1e-12 of its terms' size (a4 is not
     affine in c3, or the lemma overstates)."""
     import numpy as np
     c, (n_r, n_t) = point.c, rings
     angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
     points = np.concatenate(([0j], (np.linspace(0.0, 1.0, n_r)[1:, None] * angles[None, :]).ravel()))
-    best, best_x = -1.0, 0j
+    best, best_x, terms = -1.0, 0j, 0.0
     for x in np.split(points, range(_BLOCK, len(points), _BLOCK)):
         a2, a3, a4 = coefficient_arrays(spec, *expand_arrays(c, x, 0.0))
         values = np.abs(a2 * a4 - a3 * a3) + d * _disk_weight(x)
         ix = int(np.argmax(values))
         if values[ix] > best:  # strict, so the first on a tie wins, as one argmax
             best, best_x = float(values[ix]), complex(x[ix])
-    if best > value * (1.0 + 1e-12):
+            b2, b3, b4 = (complex(np.broadcast_to(a, x.shape)[ix]) for a in (a2, a3, a4))
+            terms = abs(b2 * b4) + abs(b3) ** 2
+    # rounding moves a reading by up to 1e-12 of its terms, which may dwarf it
+    if best - value > 1e-12 * max(value, terms):
         raise ValueError(
             f"ring value {best!r} of {spec.describe()} at c={c!r}, x={best_x!r} "
             f"beats the lemma's {value!r}: the lemma understates"
@@ -333,25 +348,61 @@ def check_mu_monotone(spec: ClassSpec, grid: tuple[int, int] = DEFAULT_MU_GRID) 
     return int(np.count_nonzero(drops))
 
 
-def _disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` points uniform on the closed unit disk, by rejection from [-1, 1]^2."""
+def _lattice(offsets, steps, index: int, size: int):
+    """2u of candidates index..index+size-1 of an R_d lattice, one row per
+    coordinate: u_j = (((s_j + n A_j) mod 2^64) >> 11) 2^-53, with s_j from
+    ``offsets`` and A_j from ``steps``, so 2u lies in [0, 2)."""
     import numpy as np
-    points = np.empty(0, dtype=complex)
-    while (need := count - len(points)) > 0:
-        # the disk is pi/4 of the square, so 4/3 of need almost always suffices
-        square = (2.0 * rng.random(2 * (need + need // 3 + 16)) - 1.0).view(complex)
-        points = np.concatenate((points, square[np.abs(square) <= 1.0][:need]))
-    return points
+    n = np.arange(index, index + size, dtype=np.uint64)
+    return ((steps[:, None] * n + offsets[:, None]) >> 11) * 2.0**-52
+
+
+def _lattice_rows(offsets, steps, index: int, count: int):
+    """(rows, index): the first ``count`` candidates of ``_lattice`` from
+    ``index`` on whose last two coordinates, as a point of [-1, 1]^2, lie in
+    the closed unit disk, and the candidate index after the last of them;
+    in rounds of at most ``_BLOCK`` candidates."""
+    import numpy as np
+    rows = np.empty((len(steps), count))
+    kept = 0
+    while kept < count:
+        need = count - kept
+        size = min(_BLOCK, need + need // 3 + 16)  # the disk is pi/4 of the square
+        drawn = _lattice(offsets, steps, index, size)
+        square = (drawn[-2:] - 1.0).T.copy().view(complex)[:, 0]
+        inside = np.flatnonzero(abs(square) <= 1.0)[:need]
+        rows[:, kept:kept + len(inside)] = drawn[:, inside]
+        kept += len(inside)
+        index += size if kept < count else int(inside[-1]) + 1
+    return rows, index
+
+
+def _splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 (Steele, Lea and Flood,
+    OOPSLA 2014) seeded with ``seed``."""
+    out = []
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        v = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(v ^ (v >> 31))
+    return out
 
 
 def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Max |c2| and |c3| over ``samples`` seeded points and ``_RIDE_ALONG``; both must stay <= 2.
 
-    One ``default_rng(seed)`` draws each block of n <= ``_BLOCK`` points as
-    ceil(n / nz) (c, x) pairs, c uniform on [0, 2] and x by ``_disk_samples``,
-    crossed with nz = min(``_Z_PER_PAIR``, isqrt(n)) z points, and counts the
-    first n of the row-major product.  ``samples`` is at most ``MAX_SAMPLES``;
-    it and ``seed`` must be integers, else a ValueError, as ``_grid_sizes`` does.
+    Each block of n <= ``_BLOCK`` points is ceil(n / nz) (c, x) pairs
+    crossed with nz = min(``_Z_PER_PAIR``, isqrt(n)) z points, and the first
+    n of the row-major product count.  The pairs are the points of the R_3
+    lattice (``_PAIR_STEPS``) with x in the disk, in candidate order, as
+    (c, x) = (2u_1, (2u_2 - 1) + i (2u_3 - 1)), and the z points those of
+    the R_2 lattice (``_Z_STEPS``) in the same way; the five offsets s_j are
+    the first outputs of SplitMix64 seeded with ``seed``.  No point depends
+    on another, so the pairs and z of ``_Z_PER_PAIR`` blocks, at most
+    ``_BLOCK`` pairs, are drawn at once.  ``samples`` is at most
+    ``MAX_SAMPLES`` and ``seed`` in [0, 2^64); both must be integers, else a
+    ValueError, as ``_grid_sizes`` does.
     """
     import numpy as np
     try:
@@ -362,15 +413,27 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     _, c2, c3 = expand_arrays(*map(np.array, _RIDE_ALONG))
-    max_c2, max_c3 = float(np.max(np.abs(c2))), float(np.max(np.abs(c3)))
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, _BLOCK):
-        n = min(_BLOCK, samples - start)
-        nz = min(_Z_PER_PAIR, math.isqrt(n))
-        c = rng.uniform(0.0, 2.0, -(-n // nz))[:, None]
-        _, c2, c3 = expand_arrays(c, _disk_samples(rng, len(c))[:, None], _disk_samples(rng, nz)[None, :])
-        # every pair has a counted point, so c2, one value per pair, needs no cut
-        max_c2 = max(max_c2, float(np.max(np.abs(c2))))
-        max_c3 = max(max_c3, float(np.max(np.abs(c3.ravel()[:n]))))
+    max_c2, max_c3 = float(abs(c2).max()), float(abs(c3).max())
+    offsets = np.array(_splitmix64(seed, 5), dtype=np.uint64)
+    pair_steps, z_steps = np.array(_PAIR_STEPS, dtype=np.uint64), np.array(_Z_STEPS, dtype=np.uint64)
+    pair_index = z_index = 0
+    for chunk in range(0, samples, _BLOCK * _Z_PER_PAIR):
+        blocks = []
+        for start in range(chunk, min(samples, chunk + _BLOCK * _Z_PER_PAIR), _BLOCK):
+            n = min(_BLOCK, samples - start)
+            nz = min(_Z_PER_PAIR, math.isqrt(n))
+            blocks.append((n, -(-n // nz), nz))
+        pairs, pair_index = _lattice_rows(offsets[:3], pair_steps, pair_index, sum(k for _, k, _ in blocks))
+        zs, z_index = _lattice_rows(offsets[3:], z_steps, z_index, sum(nz for _, _, nz in blocks))
+        c, x, z = pairs[0][:, None], (pairs[1:] - 1.0).T.copy().view(complex), (zs - 1.0).T.copy().view(complex)
+        p = q = 0
+        for n, k, nz in blocks:
+            _, c2, c3 = expand_arrays(c[p:p + k], x[p:p + k], z[q:q + nz].T)
+            p, q = p + k, q + nz
+            # every pair has a counted point, so c2, one value per pair, needs no cut
+            max_c2 = max(max_c2, float(abs(c2).max()))
+            max_c3 = max(max_c3, float(abs(c3.ravel()[:n]).max()))
     return max_c2, max_c3

@@ -569,6 +569,22 @@ def test_bound_path_does_not_import_numpy():
     assert result["loaded_after"] is True
 
 
+# the sampled Carathéodory check draws its points without numpy.random
+NO_NUMPY_RANDOM_SCRIPT = """
+import json, sys
+import hankelbound as hb
+hb.empirical_sup(hb.starlike(hb.preset("lemniscate")))
+result = hb.check_caratheodory_bounds(100_000)
+print(json.dumps({"result": result, "numpy": "numpy" in sys.modules, "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_verifier_does_not_import_numpy_random():
+    run = run_fresh("-c", NO_NUMPY_RANDOM_SCRIPT)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"result": [2.0, 2.0], "numpy": True, "random": False}
+
+
 class TestComplexOutput:
     """A complex value is written as {re, im}: rgt's tau, and x and z of verify's argmax."""
 
@@ -703,6 +719,8 @@ class TestFailureContract:
              "sweep variable gamma needs a phi source"),
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
             (["verify", "--preset", "halfplane", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+            (["verify", "--preset", "halfplane", "--seed", str(2**64), "--samples", "10"],
+             "seed must lie in [0, 2^64), got 18446744073709551616"),
             (["bound", "--custom", "1,1e200,1e308"], "bound of starlike is not finite at this target's magnitude"),
             (["bound", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-155"],
              "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),
@@ -718,7 +736,7 @@ class TestFailureContract:
              "the functional of rgt(gamma=1, tau=1e-140+0j) at c=2.0 underflows at this target's magnitude"),
         ],
         ids=["tiny_tau", "region_overflows", "nan_start", "inf_stop", "gamma_without_phi", "phi_file_list",
-             "negative_seed", "nan_quadratic", "subnormal_tau", "subnormal_tau_verify",
+             "negative_seed", "seed_past_64_bits", "nan_quadratic", "subnormal_tau", "subnormal_tau_verify",
              "rounding_noise_verify", "rounding_noise_ring_verify", "subnormal_reading_verify"],
     )
     def test_refusal_is_one_error_line(self, capsys, tmp_path, argv, message):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hankelbound.verify import (
     MAX_SLICE_POINTS,
     CaratheodoryPoint,
     _check_at_c,
-    _disk_samples,
+    _lattice,
     _lemma_case,
     _maximising_z,
     _quadratic_in_x,
@@ -92,6 +93,78 @@ class TestCaratheodoryExpand:
         assert point.mu == pytest.approx(0.6)
 
 
+def _roberts_steps(d):
+    """floor(g^-j 2^64) for j = 1..d, with g > 1 the root of g^(d+1) = g + 1,
+    by Newton's method at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g = Decimal(2)
+        for _ in range(100):
+            g -= (g ** (d + 1) - g - 1) / ((d + 1) * g**d - 1)
+        return [int(g**-j * 2**64) for j in range(1, d + 1)]
+
+
+def _splitmix64_outputs(seed, count):
+    """SplitMix64 in Python integers: add the golden gamma, then mix."""
+    mask, out = 2**64 - 1, []
+    for i in range(1, count + 1):
+        v = (seed + i * 0x9E3779B97F4A7C15) & mask
+        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(v ^ (v >> 31))
+    return out
+
+
+def _disk_candidates(offsets, steps, start=0):
+    """(n, twice_u, point): the candidates of an R_d lattice from ``start`` on
+    whose last two coordinates map into the closed disk, in Python integers
+    mod 2^64, with no numpy."""
+    n = start
+    while True:
+        twice_u = [2.0 * ((((s + n * a) % 2**64) >> 11) * 2.0**-53) for s, a in zip(offsets, steps)]
+        point = complex(twice_u[-2] - 1.0, twice_u[-1] - 1.0)
+        if abs(point) <= 1.0:
+            yield n, twice_u, point
+        n += 1
+
+
+def _oracle_blocks(samples, seed, pair_start=0):
+    """(c, x, z) of each block of ``check_caratheodory_bounds(samples, seed)``:
+    (c, x) pairs from R_3 and z from R_2, offset by SplitMix64(seed)."""
+    offsets = _splitmix64_outputs(seed, 5)
+    pairs = _disk_candidates(offsets[:3], _roberts_steps(3), pair_start)
+    zs = _disk_candidates(offsets[3:], _roberts_steps(2))
+    blocks = []
+    for start in range(0, samples, 4096):
+        n = min(4096, samples - start)
+        nz = min(16, math.isqrt(n))
+        drawn = [next(pairs) for _ in range(-(-n // nz))]
+        c = np.array([[twice_u[0]] for _, twice_u, _ in drawn])
+        x = np.array([[point] for _, _, point in drawn])
+        z = np.array([[next(zs)[2] for _ in range(nz)]])
+        blocks.append((c, x, z))
+    return blocks
+
+
+def _seen_blocks(monkeypatch, samples, seed):
+    """The (c, x, z) of each expand_arrays call of the check, ride-along first."""
+    seen = []
+
+    def spy(c, x, z):
+        seen.append((c, x, z))
+        return expand_arrays(c, x, z)
+
+    monkeypatch.setattr("hankelbound.verify.expand_arrays", spy)
+    hb.check_caratheodory_bounds(samples, seed)
+    return seen
+
+
+def _assert_same_arrays(block, expected):
+    for crossed, drawn in zip(block, expected, strict=True):
+        assert crossed.shape == drawn.shape and crossed.dtype == drawn.dtype
+        assert np.array_equal(crossed, drawn)
+
+
 class TestCaratheodoryBounds:
     def test_large_sample(self):
         max_c2, max_c3 = hb.check_caratheodory_bounds(100_000, seed=1729)
@@ -107,6 +180,14 @@ class TestCaratheodoryBounds:
         with pytest.raises(ValueError):
             hb.check_caratheodory_bounds(0)
 
+    def test_offsets_are_splitmix64(self):
+        # the published first outputs of SplitMix64 at seed 0, and the
+        # Roberts steps in the code against the ones derived here
+        assert hb.verify._splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert hb.verify._splitmix64(1729, 5) == _splitmix64_outputs(1729, 5)
+        assert list(hb.verify._PAIR_STEPS) == _roberts_steps(3)
+        assert list(hb.verify._Z_STEPS) == _roberts_steps(2)
+
     def test_sample_count_capped(self):
         with pytest.raises(ValueError, match="at most"):
             hb.check_caratheodory_bounds(MAX_SAMPLES + 1)
@@ -120,6 +201,14 @@ class TestCaratheodoryBounds:
         with pytest.raises(ValueError, match="samples and seed must be integers"):
             hb.check_caratheodory_bounds(samples, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**100], ids=["negative", "two_to_64", "two_to_100"])
+    def test_seed_out_of_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2^64)")):
+            hb.check_caratheodory_bounds(10, seed)
+
+    def test_largest_seed_is_accepted(self):
+        assert hb.check_caratheodory_bounds(10, 2**64 - 1) == (2.0, 2.0)
+
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 100_000])
     @pytest.mark.parametrize("seed", range(10))
     def test_result_is_pinned(self, samples, seed):
@@ -130,41 +219,18 @@ class TestCaratheodoryBounds:
     @pytest.mark.parametrize("seed", range(10))
     def test_streamed_draws_are_the_whole_array_draws(self, monkeypatch, samples, seed):
         # the blocks are (c, x) pairs crossed with shared z points; the
-        # oracle: the ride-along points, then per block of n <= 4,096
-        # points k = ceil(n / nz) values of c, then the k x of the pairs, then
-        # nz = min(16, isqrt(n)) z, from one generator, as columns and a row;
-        # each disk is drawn by rejection from [-1, 1]^2 in rounds of
-        # 2 (need + need // 3 + 16) doubles
-        def disk(rng, n):
-            kept = []
-            while len(kept) < n:
-                need = n - len(kept)
-                square = 2.0 * rng.random(2 * (need + need // 3 + 16)) - 1.0
-                points = square[0::2] + 1j * square[1::2]
-                kept.extend(points[np.abs(points) <= 1.0][:need])
-            return np.array(kept)
-
-        rng = np.random.default_rng(seed)
-        oracle = []
-        for start in range(0, samples, 4096):
-            n = min(4096, samples - start)
-            nz = min(16, math.isqrt(n))
-            k = -(-n // nz)
-            oracle.append((rng.uniform(0.0, 2.0, k)[:, None], disk(rng, k)[:, None], disk(rng, nz)[None, :]))
-        seen = []
-
-        def spy(c, x, z):
-            seen.append((c, x, z))
-            return expand_arrays(c, x, z)
-
-        monkeypatch.setattr("hankelbound.verify.expand_arrays", spy)
-        hb.check_caratheodory_bounds(samples, seed)
+        # oracle, in Python integers mod 2^64: the ride-along points, then
+        # per block of n <= 4,096 points the next k = ceil(n / nz) pairs of
+        # R_3 with x in the disk, as a column each, and the next
+        # nz = min(16, isqrt(n)) points of R_2 in the disk, as a row; which
+        # blocks share a draw does not show
+        seen = _seen_blocks(monkeypatch, samples, seed)
         ride_along, blocks = seen[0], seen[1:]
         assert np.array_equal(ride_along[0], [2.0, 0.0])
+        oracle = _oracle_blocks(samples, seed)
         assert len(blocks) == len(oracle)
         for block, expected in zip(blocks, oracle):
-            for crossed, drawn in zip(block, expected):
-                assert np.array_equal(crossed, drawn)
+            _assert_same_arrays(block, expected)
 
     @pytest.mark.parametrize("samples", [1, 10, 15, 16, 17, 255, 256, 4095, 4096, 4097])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -221,38 +287,50 @@ class TestCaratheodoryBounds:
         _, max_c3 = hb.check_caratheodory_bounds(samples, seed)
         assert max_c3 > floor
 
-    def test_short_round_is_topped_up(self):
+    def test_short_round_is_topped_up(self, monkeypatch):
         # a first round of zeros maps to -1 - 1i, outside the disk, so every
-        # point comes from the second round
-        class FirstRoundOutside:
-            def __init__(self):
-                self.sizes = []
-                self.rng = np.random.default_rng(5)
+        # pair comes from the rounds after it, from candidate 4,096 on, and
+        # the second draw of pairs goes on after the last pair of the first;
+        # the z lattice is untouched
+        rounds = []
 
-            def random(self, size):
-                self.sizes.append(size)
-                return np.zeros(size) if len(self.sizes) == 1 else self.rng.random(size)
+        def first_round_outside(offsets, steps, index, size):
+            rounds.append((len(steps), index, size))
+            drawn = _lattice(offsets, steps, index, size)
+            return np.zeros_like(drawn) if len(rounds) == 1 else drawn
 
-        stub = FirstRoundOutside()
-        points = _disk_samples(stub, 1000)
-        assert len(points) == 1000
-        assert np.all(np.abs(points) <= 1.0)
-        assert stub.sizes == [2 * (1000 + 333 + 16)] * 2
+        monkeypatch.setattr("hankelbound.verify._lattice", first_round_outside)
+        samples = 17 * 4096  # 17 blocks: one draw of 16 blocks' pairs and z, then one of 1
+        blocks = _seen_blocks(monkeypatch, samples, 5)[1:]
+        assert rounds[:2] == [(3, 0, 4096), (3, 4096, 4096)]
+        assert max(size for _, _, size in rounds) <= 4096
+        oracle = _oracle_blocks(samples, 5, pair_start=4096)
+        assert len(blocks) == len(oracle) == 17
+        for block, expected in zip(blocks, oracle):
+            _assert_same_arrays(block, expected)
 
     @pytest.mark.parametrize("seed", [0, 1729])
-    def test_disk_points_are_uniform(self, seed):
-        # E|p|^2 = 1/2, E p = 0 and a quarter in each quadrant; each limit is
-        # more than 5 sd out at 100,000 points, and a missing 2u - 1 map
-        # would put every point in the first quadrant
-        points = _disk_samples(np.random.default_rng(seed), 100_000)
-        assert len(points) == 100_000
-        assert np.all(np.abs(points) <= 1.0)
-        assert abs(np.mean(np.abs(points) ** 2) - 0.5) <= 0.005
-        assert abs(np.mean(points)) < 0.01
+    def test_disk_points_are_uniform(self, monkeypatch, seed):
+        # the check's own 100,000 pairs: E|x|^2 = 1/2, E x = 0 and a quarter
+        # of x in each quadrant, and E c = 1; each limit is more than 5 sd out
+        # for random points, and a missing 2u - 1 map would put every x in
+        # the first quadrant; no pair comes twice, and the z, drawn from a
+        # lattice of their own, are in the disk, distinct and none an x
+        samples = 390 * 4096 + 2560  # 390 blocks of 256 pairs, then one of 160
+        blocks = _seen_blocks(monkeypatch, samples, seed)[1:]
+        c, x = (np.concatenate([block[i].ravel() for block in blocks]) for i in (0, 1))
+        z = np.concatenate([block[2].ravel() for block in blocks])
+        assert len(x) == 100_000 and len(z) == 391 * 16
+        assert np.all(np.abs(x) <= 1.0) and np.all(np.abs(z) <= 1.0)
+        assert abs(np.mean(np.abs(x) ** 2) - 0.5) <= 0.005
+        assert abs(np.mean(x)) < 0.01
         for re_sign in (1, -1):
             for im_sign in (1, -1):
-                share = np.mean((re_sign * points.real > 0) & (im_sign * points.imag > 0))
+                share = np.mean((re_sign * x.real > 0) & (im_sign * x.imag > 0))
                 assert abs(share - 0.25) <= 0.01
+        assert np.all((0.0 <= c) & (c < 2.0)) and abs(np.mean(c) - 1.0) < 0.01
+        assert len(np.unique(x)) == len(x) and len(np.unique(z)) == len(z)
+        assert not np.isin(z, x).any()
 
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()
@@ -635,6 +713,24 @@ class TestGuards:
             hb.empirical_sup(hb.starlike(hb.preset("lemniscate")))
         # the CLI prints the message as it is, so it shows plain numbers
         assert "np." not in str(refused.value)
+
+    def test_slight_understatement_is_refused(self, monkeypatch):
+        # the ring's slack is 1e-12 of the value or of the terms at the ring
+        # point, whichever is larger: far under 1e-9 of the value on a preset
+        def understated(A, B, C, D):
+            case, value, x = _lemma_case(A, B, C, D)
+            return case, value * (1.0 - 1e-9), x
+
+        monkeypatch.setattr("hankelbound.verify._lemma_case", understated)
+        with pytest.raises(ValueError, match="the lemma understates"):
+            hb.empirical_sup(hb.starlike(hb.preset("lemniscate")))
+
+    def test_ring_slack_scales_with_the_terms(self):
+        # at (1e8, 1e16, 1e24) the maximum is about 1e-9 of its terms, so
+        # rounding lifts the ring by about 1e-7 of it, and that is no fault
+        spec = hb.starlike(hb.custom(1e8, 1e16, 1e24))
+        report = hb.empirical_sup(spec, grid=(16, 8, 8))
+        assert report.margin > 0
 
     def test_rings_reach_the_lemma_on_presets(self):
         # the ring check has room: its best point is within 1e-3 of the lemma

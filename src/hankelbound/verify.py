@@ -357,13 +357,14 @@ def _lattice(offsets, steps, index: int, size: int):
     return ((steps[:, None] * n + offsets[:, None]) >> 11) * 2.0**-52
 
 
-def _lattice_rows(offsets, steps, index: int, count: int):
-    """(rows, index): the first ``count`` candidates of ``_lattice`` from
-    ``index`` on whose last two coordinates, as a point of [-1, 1]^2, lie in
-    the closed unit disk, and the candidate index after the last of them;
-    in rounds of at most ``_BLOCK`` candidates."""
+def _lattice_disk(offsets, steps, index: int, count: int):
+    """(lead, points, index): the first ``count`` candidates of ``_lattice``
+    from ``index`` on whose last two coordinates, mapped to [-1, 1]^2, lie
+    in the closed unit disk; ``lead`` holds their other rows and ``points``
+    the disk points, and ``index`` is the candidate after the last of them.
+    Rounds draw at most ``_BLOCK`` candidates each."""
     import numpy as np
-    rows = np.empty((len(steps), count))
+    lead, points = np.empty((len(steps) - 2, count)), np.empty(count, dtype=complex)
     kept = 0
     while kept < count:
         need = count - kept
@@ -371,10 +372,11 @@ def _lattice_rows(offsets, steps, index: int, count: int):
         drawn = _lattice(offsets, steps, index, size)
         square = (drawn[-2:] - 1.0).T.copy().view(complex)[:, 0]
         inside = np.flatnonzero(abs(square) <= 1.0)[:need]
-        rows[:, kept:kept + len(inside)] = drawn[:, inside]
+        lead[:, kept:kept + len(inside)] = drawn[:-2, inside]
+        points[kept:kept + len(inside)] = square[inside]
         kept += len(inside)
         index += size if kept < count else int(inside[-1]) + 1
-    return rows, index
+    return lead, points, index
 
 
 def _splitmix64(seed: int, count: int) -> list[int]:
@@ -398,9 +400,10 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
     lattice (``_PAIR_STEPS``) with x in the disk, in candidate order, as
     (c, x) = (2u_1, (2u_2 - 1) + i (2u_3 - 1)), and the z points those of
     the R_2 lattice (``_Z_STEPS``) in the same way; the five offsets s_j are
-    the first outputs of SplitMix64 seeded with ``seed``.  No point depends
-    on another, so the pairs and z of ``_Z_PER_PAIR`` blocks, at most
-    ``_BLOCK`` pairs, are drawn at once.  ``samples`` is at most
+    the first outputs of SplitMix64 seeded with ``seed``.  No candidate
+    depends on generator state, so the pairs and z of ``_Z_PER_PAIR`` blocks,
+    at most ``_BLOCK`` pairs, are drawn at once, and a running candidate
+    index carries each lattice from one draw to the next.  ``samples`` is at most
     ``MAX_SAMPLES`` and ``seed`` in [0, 2^64); both must be integers, else a
     ValueError, as ``_grid_sizes`` does.
     """
@@ -426,12 +429,11 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
             n = min(_BLOCK, samples - start)
             nz = min(_Z_PER_PAIR, math.isqrt(n))
             blocks.append((n, -(-n // nz), nz))
-        pairs, pair_index = _lattice_rows(offsets[:3], pair_steps, pair_index, sum(k for _, k, _ in blocks))
-        zs, z_index = _lattice_rows(offsets[3:], z_steps, z_index, sum(nz for _, _, nz in blocks))
-        c, x, z = pairs[0][:, None], (pairs[1:] - 1.0).T.copy().view(complex), (zs - 1.0).T.copy().view(complex)
+        (c,), x, pair_index = _lattice_disk(offsets[:3], pair_steps, pair_index, sum(k for _, k, _ in blocks))
+        _, z, z_index = _lattice_disk(offsets[3:], z_steps, z_index, sum(nz for _, _, nz in blocks))
         p = q = 0
         for n, k, nz in blocks:
-            _, c2, c3 = expand_arrays(c[p:p + k], x[p:p + k], z[q:q + nz].T)
+            _, c2, c3 = expand_arrays(c[p:p + k, None], x[p:p + k, None], z[None, q:q + nz])
             p, q = p + k, q + nz
             # every pair has a counted point, so c2, one value per pair, needs no cut
             max_c2 = max(max_c2, float(abs(c2).max()))

@@ -289,7 +289,7 @@ class TestCaratheodoryBounds:
 
     def test_short_round_is_topped_up(self, monkeypatch):
         # a first round of zeros maps to -1 - 1i, outside the disk, so every
-        # pair comes from the rounds after it, from candidate 4,096 on, and
+        # pair comes from the rounds after it, from candidate 2,048 on, and
         # the second draw of pairs goes on after the last pair of the first;
         # the z lattice is untouched
         rounds = []
@@ -302,9 +302,9 @@ class TestCaratheodoryBounds:
         monkeypatch.setattr("hankelbound.verify._lattice", first_round_outside)
         samples = 17 * 4096  # 17 blocks: one draw of 16 blocks' pairs and z, then one of 1
         blocks = _seen_blocks(monkeypatch, samples, 5)[1:]
-        assert rounds[:2] == [(3, 0, 4096), (3, 4096, 4096)]
-        assert max(size for _, _, size in rounds) <= 4096
-        oracle = _oracle_blocks(samples, 5, pair_start=4096)
+        assert rounds[:2] == [(3, 0, 2048), (3, 2048, 2048)]
+        assert max(size for _, _, size in rounds) <= 2048
+        oracle = _oracle_blocks(samples, 5, pair_start=2048)
         assert len(blocks) == len(oracle) == 17
         for block, expected in zip(blocks, oracle):
             _assert_same_arrays(block, expected)

@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.seed >= 2**64:
+        raise ValueError(f"--seed must be below 2^64, got {args.seed}")
     phi = _build_phi(args)
     spec = _build_spec(args, phi)
     payload = _bound_payload(bounds.second_hankel_bound(spec))

@@ -68,8 +68,8 @@ _MIN_GRID = 8
 MAX_SLICE_POINTS = 2**16
 MAX_SAMPLES = 10_000_000
 # at most this many points per expand_arrays call, a slice of the ring check
-# at z = 0 or a sample block's (256, 16) pairs x z, and twice the lattice
-# candidates of a round: a complex temporary is then at most 64 KB, under
+# at z = 0 or a sample block's (256, 16) pairs x z, and at most this many
+# pairs drawn at once: a complex temporary is then at most 64 KB, under
 # glibc's 128 KB mmap threshold
 _BLOCK = 4096
 _Z_PER_PAIR = 16
@@ -285,9 +285,10 @@ def _check_at_c(spec: ClassSpec, point: CaratheodoryPoint, d: float, rings: tupl
         ix = int(np.argmax(values))
         if values[ix] > best:  # strict, so the first on a tie wins, as one argmax
             best, best_x = float(values[ix]), complex(x[ix])
-            b2, b3, b4 = (complex(np.broadcast_to(a, x.shape)[ix]) for a in (a2, a3, a4))
-            terms = abs(b2 * b4) + abs(b3) ** 2
-    # rounding moves a reading by up to 1e-12 of its terms, which may dwarf it
+            if best > value * (1.0 + 1e-12):  # only then are the terms read
+                b2, b3, b4 = (complex(np.broadcast_to(a, x.shape)[ix]) for a in (a2, a3, a4))
+                terms = abs(b2 * b4) + abs(b3) ** 2
+    # rounding moves a reading by up to 1e-12 of its terms, which may dwarf the value
     if best - value > 1e-12 * max(value, terms):
         raise ValueError(
             f"ring value {best!r} of {spec.describe()} at c={c!r}, x={best_x!r} "
@@ -360,13 +361,12 @@ def _lattice(offsets, steps, index: int, size: int):
 def _lattice_disk(offsets, steps, index: int, count: int):
     """(lead, points, index): the first ``count`` candidates of ``_lattice``
     from ``index`` on whose last two coordinates, mapped to [-1, 1]^2, lie
-    in the closed unit disk; ``lead`` holds their other rows and ``points``
-    the disk points, and ``index`` is the candidate after the last of them.
-    Rounds draw at most ``_BLOCK // 2`` candidates each: with d <= 3 every
-    temporary is then at most 48 KB, and freeing them does not leave glibc
-    a heap top past its 128 KB trim threshold to hand back and fault in
-    again on the next draw, as rounds of ``_BLOCK`` did about 90 times per
-    100,000-sample check."""
+    in the closed unit disk, as their other rows and their disk points, and
+    the candidate after the last of them.  A round draws at most
+    ``_BLOCK // 2`` candidates, so no temporary passes 48 KB and freeing
+    them leaves glibc no heap top past its 128 KB trim threshold to return
+    and fault in again (rounds of ``_BLOCK`` faulted about 90 times per
+    100,000-sample check)."""
     import numpy as np
     lead, points = np.empty((len(steps) - 2, count)), np.empty(count, dtype=complex)
     kept = 0
@@ -409,7 +409,7 @@ def check_caratheodory_bounds(samples: int, seed: int = DEFAULT_SEED) -> tuple[f
     the first outputs of SplitMix64 seeded with ``seed``.  No candidate
     depends on generator state, so the pairs and z of ``_Z_PER_PAIR`` blocks,
     at most ``_BLOCK`` pairs, are drawn at once, and a running candidate
-    index carries each lattice from one draw to the next.  ``samples`` is at most
+    index carries each lattice on to the next draw.  ``samples`` is at most
     ``MAX_SAMPLES`` and ``seed`` in [0, 2^64); both must be integers, else a
     ValueError, as ``_grid_sizes`` does.
     """

@@ -720,7 +720,7 @@ class TestFailureContract:
             (["bound", "--phi-file", "{list_file}"], "must be a JSON object"),
             (["verify", "--preset", "halfplane", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
             (["verify", "--preset", "halfplane", "--seed", str(2**64), "--samples", "10"],
-             "seed must lie in [0, 2^64), got 18446744073709551616"),
+             "--seed must be below 2^64, got 18446744073709551616"),
             (["bound", "--custom", "1,1e200,1e308"], "bound of starlike is not finite at this target's magnitude"),
             (["bound", "--class", "rgt", "--custom", "1,1,1", "--tau", "1e-155"],
              "bound of rgt(gamma=0, tau=1e-155+0j) underflows at this target's magnitude"),

@@ -299,12 +299,17 @@ class TestCaratheodoryBounds:
             drawn = _lattice(offsets, steps, index, size)
             return np.zeros_like(drawn) if len(rounds) == 1 else drawn
 
+        # at seed 2 pair candidate 2,048 and z candidate 0 are kept, so a
+        # draw that starts a candidate late shows in the first block
+        offsets = _splitmix64_outputs(2, 5)
+        assert next(_disk_candidates(offsets[:3], _roberts_steps(3), 2048))[0] == 2048
+        assert next(_disk_candidates(offsets[3:], _roberts_steps(2)))[0] == 0
         monkeypatch.setattr("hankelbound.verify._lattice", first_round_outside)
         samples = 17 * 4096  # 17 blocks: one draw of 16 blocks' pairs and z, then one of 1
-        blocks = _seen_blocks(monkeypatch, samples, 5)[1:]
+        blocks = _seen_blocks(monkeypatch, samples, 2)[1:]
         assert rounds[:2] == [(3, 0, 2048), (3, 2048, 2048)]
         assert max(size for _, _, size in rounds) <= 2048
-        oracle = _oracle_blocks(samples, 5, pair_start=2048)
+        oracle = _oracle_blocks(samples, 2, pair_start=2048)
         assert len(blocks) == len(oracle) == 17
         for block, expected in zip(blocks, oracle):
             _assert_same_arrays(block, expected)
